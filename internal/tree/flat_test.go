@@ -1,6 +1,9 @@
 package tree
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -216,6 +219,52 @@ func TestFlatCanonicalCountMatchesRecursive(t *testing.T) {
 			if got[d] != want[d] {
 				t.Fatalf("query [%d,%d] level %d: %v != %v", lo, hi, d, got[d], want[d])
 			}
+		}
+	}
+}
+
+// layoutDigest hashes every structural array of a Flat, so any change to
+// node order, child order, spans or leaf cell lists changes the digest.
+func layoutDigest(f *Flat) string {
+	h := fnv.New64a()
+	var buf [4]byte
+	put := func(v int32) {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	put(int32(f.n))
+	put(int32(f.height))
+	for _, a := range [][]int32{f.depth, f.kidOff, f.kids, f.celOff, f.cells, f.spanLo, f.spanHi} {
+		put(int32(len(a)))
+		for _, v := range a {
+			put(v)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestSharedLayoutDigests pins the exact pre-order layout the shared
+// builders produce for the shapes TestFlatMatchesNodeBitwise exercises.
+func TestSharedLayoutDigests(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() (*Flat, error)
+		want string
+	}{
+		{"interval-64-b2", func() (*Flat, error) { return SharedInterval(64, 2) }, "9b6cc14392d68233"},
+		{"interval-100-b2", func() (*Flat, error) { return SharedInterval(100, 2) }, "61c1b71ac8dbc166"},
+		{"interval-37-b5", func() (*Flat, error) { return SharedInterval(37, 5) }, "1e25261ff1f748d2"},
+		{"grid-8x8-b2", func() (*Flat, error) { return SharedGrid(8, 8, 2) }, "2c52e7fbfc458b3f"},
+		{"grid-6x9-b3", func() (*Flat, error) { return SharedGrid(6, 9, 3) }, "5fc6bfe3781b4b08"},
+		{"quad-16x16-h3", func() (*Flat, error) { return SharedQuad(16, 16, 3) }, "831badec44743cb7"},
+		{"quad-7x5-h10", func() (*Flat, error) { return SharedQuad(7, 5, 10) }, "e5cbf3d63ec54818"},
+	} {
+		f, err := c.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := layoutDigest(f); got != c.want {
+			t.Errorf("%s: layout digest %s, pinned %s", c.name, got, c.want)
 		}
 	}
 }

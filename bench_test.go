@@ -429,16 +429,23 @@ func BenchmarkAblationConsistency(b *testing.B) {
 		trueTotal += v
 	}
 	rng := rand.New(rand.NewSource(9))
+	f, err := tree.SharedInterval(n, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := f.Acquire()
+	defer f.Release(sc)
+	f.ComputeSums(data, sc)
+	withBudget := tree.UniformLevelBudget(eps, f.Height())
+	leafBudget := make([]float64, f.Height())
+	leafBudget[len(leafBudget)-1] = eps // all budget on leaves, no hierarchy
+	est := make([]float64, n)
 	var withSE, withoutSE float64
 	trials := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		root, err := tree.BuildInterval(n, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		root.Measure(noise.NewMeter(eps, rng), data, tree.UniformLevelBudget(eps, root.Height()))
-		est := root.Infer(n)
+		f.MeasureInto(noise.NewMeter(eps, rng), sc, withBudget)
+		f.InferInto(sc, est)
 		var total float64
 		for _, v := range est {
 			total += v
@@ -446,13 +453,10 @@ func BenchmarkAblationConsistency(b *testing.B) {
 		withSE += (total - trueTotal) * (total - trueTotal)
 
 		// Without consistency: leaves only (identity-equivalent answer).
-		flatRoot, _ := tree.BuildInterval(n, 2)
-		budget := make([]float64, flatRoot.Height())
-		budget[len(budget)-1] = eps // all budget on leaves, no hierarchy
-		flatRoot.Measure(noise.NewMeter(eps, rng), data, budget)
-		flatEst := flatRoot.Infer(n)
+		f.MeasureInto(noise.NewMeter(eps, rng), sc, leafBudget)
+		f.InferInto(sc, est)
 		var ftotal float64
-		for _, v := range flatEst {
+		for _, v := range est {
 			ftotal += v
 		}
 		withoutSE += (ftotal - trueTotal) * (ftotal - trueTotal)

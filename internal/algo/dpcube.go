@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dpbench/internal/noise"
+	"dpbench/internal/tree"
 	"dpbench/internal/vec"
 	"dpbench/internal/workload"
 )
@@ -59,12 +60,17 @@ type dpcubePlan struct {
 	bufs       sync.Pool // *dpcubeScratch
 }
 
-// dpcubeScratch is one trial's noisy histogram plus, in 1D, the partition
-// boundaries (1D kd partitions are contiguous intervals, so boundaries
-// replace the per-partition cell lists without changing content or order).
+// dpcubeScratch is one trial's noisy histogram plus its kd partitions: in 1D
+// as boundaries (1D partitions are contiguous intervals), in 2D as leaf
+// rectangles, whose cells are visited in row-major order. vals and marg are
+// the 2D split's per-region working buffers; each is consumed before the
+// recursion descends, so one of each serves the whole split.
 type dpcubeScratch struct {
 	noisy  []float64
 	bounds []int
+	rects  []tree.Rect
+	vals   []float64
+	marg   []float64
 }
 
 // Plan implements Algorithm.
@@ -85,7 +91,13 @@ func (d *DPCube) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, e
 		eps1: rho * eps, eps2: (1 - rho) * eps,
 	}
 	p.bufs.New = func() any {
-		return &dpcubeScratch{noisy: make([]float64, p.n), bounds: make([]int, 0, 64)}
+		sc := &dpcubeScratch{noisy: make([]float64, p.n), bounds: make([]int, 0, 64)}
+		if len(p.dims) == 2 {
+			sc.rects = make([]tree.Rect, 0, 64)
+			sc.vals = make([]float64, 0, p.n)
+			sc.marg = make([]float64, max(p.dims[0], p.dims[1]))
+		}
+		return sc
 	}
 	return p, nil
 }
@@ -124,19 +136,24 @@ func (p *dpcubePlan) Execute(m *noise.Meter, out []float64) error {
 		return m.Err()
 	}
 
-	parts := kdSplit2D(noisy, p.dims[1], kdRect{0, 0, p.dims[1], p.dims[0]}, p.minCells, 1/p.eps1)
-	for _, part := range parts {
+	nx := p.dims[1]
+	sc.rects = sc.kdSplit2D(noisy, nx, tree.Rect{X1: nx, Y1: p.dims[0]}, p.minCells, 1/p.eps1, sc.rects[:0])
+	for _, r := range sc.rects {
 		var trueTotal float64
-		for _, cell := range part {
-			trueTotal += p.data[cell]
+		for y := r.Y0; y < r.Y1; y++ {
+			for x := r.X0; x < r.X1; x++ {
+				trueTotal += p.data[y*nx+x]
+			}
 		}
 		est := trueTotal + m.LaplacePar("parts", 1/p.eps2, p.eps2)
-		size := float64(len(part))
+		size := float64((r.X1 - r.X0) * (r.Y1 - r.Y0))
 		partPerCell := est / size
 		partVar := 2 / (p.eps2 * p.eps2 * size * size)
 		wPart := cellVar / (cellVar + partVar)
-		for _, cell := range part {
-			out[cell] = wPart*partPerCell + (1-wPart)*noisy[cell]
+		for y := r.Y0; y < r.Y1; y++ {
+			for x := r.X0; x < r.X1; x++ {
+				out[y*nx+x] = wPart*partPerCell + (1-wPart)*noisy[y*nx+x]
+			}
 		}
 	}
 	return m.Err()
@@ -167,61 +184,69 @@ func kdSplit1DBounds(noisy []float64, lo, hi, minCells int, noiseUnit float64, b
 	return kdSplit1DBounds(noisy, mid, hi, minCells, noiseUnit, bounds)
 }
 
-type kdRect struct{ x0, y0, x1, y1 int }
-
-func (r kdRect) cells(nx int) []int {
-	out := make([]int, 0, (r.x1-r.x0)*(r.y1-r.y0))
-	for y := r.y0; y < r.y1; y++ {
-		for x := r.x0; x < r.x1; x++ {
-			out = append(out, y*nx+x)
-		}
+// kdSplit2D partitions region r of the noisy nx-wide histogram like
+// kdSplit1DBounds, splitting the wider dimension at its marginal-mass
+// median, and appends the leaf rectangles to rects in left-to-right
+// recursion order.
+func (sc *dpcubeScratch) kdSplit2D(noisy []float64, nx int, r tree.Rect, minCells int, noiseUnit float64, rects []tree.Rect) []tree.Rect {
+	w, h := r.X1-r.X0, r.Y1-r.Y0
+	if w*h <= 1 {
+		return append(rects, r)
 	}
-	return out
-}
-
-func kdSplit2D(noisy []float64, nx int, r kdRect, minCells int, noiseUnit float64) [][]int {
-	cells := r.cells(nx)
-	if len(cells) <= 1 {
-		return [][]int{cells}
-	}
-	vals := make([]float64, len(cells))
-	for i, c := range cells {
-		vals[i] = noisy[c]
+	vals := sc.vals[:0]
+	for y := r.Y0; y < r.Y1; y++ {
+		vals = append(vals, noisy[y*nx+r.X0:y*nx+r.X1]...)
 	}
 	if stopSplitting(vals, minCells, noiseUnit) {
-		return [][]int{cells}
+		return append(rects, r)
 	}
-	// Split the wider dimension at its marginal-mass median.
-	w, h := r.x1-r.x0, r.y1-r.y0
-	if w >= h && w > 1 {
-		marg := make([]float64, w)
-		for y := r.y0; y < r.y1; y++ {
-			for x := r.x0; x < r.x1; x++ {
-				marg[x-r.x0] += noisy[y*nx+x]
+	// More than one cell, so the wider dimension has at least two.
+	overX := w >= h
+	a, b := splitAtMedian(r, regionMarginal(sc.marg, noisy, nx, r, overX), overX)
+	rects = sc.kdSplit2D(noisy, nx, a, minCells, noiseUnit, rects)
+	return sc.kdSplit2D(noisy, nx, b, minCells, noiseUnit, rects)
+}
+
+// regionMarginal writes into dst, and returns, the marginal of rectangle r
+// of the nx-wide grid data: per-column sums when overX, per-row sums
+// otherwise. Every bin adds its cells in row-major order.
+func regionMarginal(dst, data []float64, nx int, r tree.Rect, overX bool) []float64 {
+	n := r.Y1 - r.Y0
+	if overX {
+		n = r.X1 - r.X0
+	}
+	marg := dst[:n]
+	clear(marg)
+	for y := r.Y0; y < r.Y1; y++ {
+		for x := r.X0; x < r.X1; x++ {
+			i := y - r.Y0
+			if overX {
+				i = x - r.X0
 			}
+			marg[i] += data[y*nx+x]
 		}
-		cut := r.x0 + marginalMedian(marg)
-		if cut <= r.x0 || cut >= r.x1 {
-			cut = (r.x0 + r.x1) / 2
-		}
-		return append(kdSplit2D(noisy, nx, kdRect{r.x0, r.y0, cut, r.y1}, minCells, noiseUnit),
-			kdSplit2D(noisy, nx, kdRect{cut, r.y0, r.x1, r.y1}, minCells, noiseUnit)...)
 	}
-	if h > 1 {
-		marg := make([]float64, h)
-		for y := r.y0; y < r.y1; y++ {
-			for x := r.x0; x < r.x1; x++ {
-				marg[y-r.y0] += noisy[y*nx+x]
-			}
+	return marg
+}
+
+// splitAtMedian cuts r in two at the mass median of marg, its marginal along
+// x (overX) or y.
+func splitAtMedian(r tree.Rect, marg []float64, overX bool) (a, b tree.Rect) {
+	a, b = r, r
+	if overX {
+		cut := r.X0 + marginalMedian(marg)
+		if cut <= r.X0 || cut >= r.X1 {
+			cut = (r.X0 + r.X1) / 2
 		}
-		cut := r.y0 + marginalMedian(marg)
-		if cut <= r.y0 || cut >= r.y1 {
-			cut = (r.y0 + r.y1) / 2
+		a.X1, b.X0 = cut, cut
+	} else {
+		cut := r.Y0 + marginalMedian(marg)
+		if cut <= r.Y0 || cut >= r.Y1 {
+			cut = (r.Y0 + r.Y1) / 2
 		}
-		return append(kdSplit2D(noisy, nx, kdRect{r.x0, r.y0, r.x1, cut}, minCells, noiseUnit),
-			kdSplit2D(noisy, nx, kdRect{r.x0, cut, r.x1, r.y1}, minCells, noiseUnit)...)
+		a.Y1, b.Y0 = cut, cut
 	}
-	return [][]int{cells}
+	return a, b
 }
 
 // stopSplitting reports whether a partition should become a leaf: its value

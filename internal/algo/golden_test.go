@@ -8,6 +8,7 @@ import (
 
 	"dpbench/internal/noise"
 	"dpbench/internal/transform"
+	"dpbench/internal/tree"
 	"dpbench/internal/vec"
 	"dpbench/internal/workload"
 )
@@ -203,6 +204,20 @@ func refDAWAPartition(d *DAWA, data []float64, eps1, eps2 float64, rng *rand.Ran
 	bounds = append(bounds, 0)
 	sort.Ints(bounds)
 	return bounds
+}
+
+// greedyHEstimate builds a b-ary hierarchy over data, allocates the meter's
+// whole budget across levels proportional to weights^(1/3) (uniform when
+// weights is nil or degenerate), measures every node, and runs consistency
+// inference.
+func greedyHEstimate(data []float64, b int, weights []float64, m *noise.Meter) ([]float64, error) {
+	f, err := tree.SharedInterval(len(data), b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(data))
+	flatTreeEstimate(f, data, levelBudgetFromWeights(m.Total(), f.Height(), weights), m, out)
+	return out, nil
 }
 
 func refDAWARun1D(d *DAWA, data []float64, w *workload.Workload, eps float64, rng *rand.Rand) ([]float64, error) {

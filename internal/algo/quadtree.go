@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"dpbench/internal/noise"
 	"dpbench/internal/tree"
@@ -112,13 +113,24 @@ func (t *HybridTree) RunMeter(x *vec.Vector, w *workload.Workload, m *noise.Mete
 }
 
 // hybridPlan carries the resolved parameters; the kd structure itself is
-// selected from fresh noise inside every Execute, as the mechanism requires.
+// selected from fresh noise inside every Execute, as the mechanism requires,
+// into a pooled tree arena.
 type hybridPlan struct {
 	t                  *HybridTree
 	data               []float64
 	nx, ny             int
 	kd, h              int
 	perLevel, epsCount float64
+	bufs               sync.Pool // *hybridScratch
+}
+
+// hybridScratch is one trial's kd+quad tree arena, its inference scratch and
+// the kd levels' marginal buffer (each marginal is consumed before the
+// recursion descends, so one buffer serves the whole tree).
+type hybridScratch struct {
+	f    tree.Flat
+	sc   *tree.Scratch
+	marg []float64
 }
 
 // Plan implements Algorithm. HybridTree's upper levels are data-dependent
@@ -151,22 +163,32 @@ func (t *HybridTree) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Pla
 		// the whole budget to the counts instead.
 		epsStruct, epsCount = 0, eps
 	}
-	return &hybridPlan{
+	p := &hybridPlan{
 		t: t, data: x.Data, nx: x.Dims[1], ny: x.Dims[0], kd: kd, h: h,
-		perLevel: epsStruct / float64(maxInt(kd, 1)), epsCount: epsCount,
-	}, nil
+		perLevel: epsStruct / float64(max(kd, 1)), epsCount: epsCount,
+	}
+	p.bufs.New = func() any {
+		return &hybridScratch{sc: tree.NewScratch(), marg: make([]float64, max(p.nx, p.ny))}
+	}
+	return p, nil
 }
 
 //dp:hotpath
 func (p *hybridPlan) Execute(m *noise.Meter, out []float64) error {
+	hs := p.bufs.Get().(*hybridScratch)
+	defer p.bufs.Put(hs)
+	// Pin the pooled arena and scratch to locals for the whole
+	// build→sums→measure→infer sequence: the raw node sums leave the scratch
+	// only through MeasureInto's metered draws.
+	f, sc := &hs.f, hs.sc
 	// Noisy marginals drive the kd splits; each level of splits touches
 	// disjoint regions so the levels share epsStruct evenly.
-	root := p.t.buildKD(p.data, p.nx, tree.Rect{X0: 0, Y0: 0, X1: p.nx, Y1: p.ny}, p.kd, p.kd, p.h, p.perLevel, m)
-	if err := root.Finalize(); err != nil {
-		return err
-	}
-	root.Measure(m, p.data, tree.GeometricLevelBudget(p.epsCount, root.Height()))
-	root.InferInto(out)
+	f.Reset(p.nx * p.ny)
+	p.t.buildKD(f, hs.marg, p.data, p.nx, tree.Rect{X1: p.nx, Y1: p.ny}, 0, p.kd, p.kd, p.h, p.perLevel, m)
+	f.Seal()
+	f.ComputeSums(p.data, sc)
+	f.MeasureInto(m, sc, tree.GeometricLevelBudget(p.epsCount, f.Height()))
+	f.InferInto(sc, out)
 	return m.Err()
 }
 
@@ -178,86 +200,36 @@ func (t *HybridTree) CompositionPlan() noise.Plan {
 	}
 }
 
-// buildKD builds kdLeft data-dependent levels splitting the longer dimension
-// at a noisy mass median, then hands the region to a fixed quadtree of the
-// remaining height. kdTotal is the configured number of kd levels, so the
-// current kd depth is kdTotal-kdLeft. When a branch bottoms out early its
-// remaining per-level allocations are charged as forfeits, keeping every kd
-// scope at exactly epsLevel even if no region at that depth draws.
+// buildKD appends to f, at depth, kdLeft data-dependent levels splitting the
+// longer dimension at a noisy mass median, then hands each region to a fixed
+// quadtree of the remaining height. kdTotal is the configured number of kd
+// levels, so the current kd depth is kdTotal-kdLeft. When a branch bottoms
+// out early its remaining per-level allocations are charged as forfeits,
+// keeping every kd scope at exactly epsLevel even if no region at that depth
+// draws. It returns the index of the subtree's root.
 //
 // Sibling subtrees split disjoint regions, so their equal charges share the
 // per-level parallel scopes rather than summing.
 //
 //dp:spends par float64(kdLeft) * epsLevel
-func (t *HybridTree) buildKD(data []float64, nx int, r tree.Rect, kdLeft, kdTotal, heightLeft int, epsLevel float64, m *noise.Meter) *tree.Node {
+func (t *HybridTree) buildKD(f *tree.Flat, marg, data []float64, nx int, r tree.Rect, depth, kdLeft, kdTotal, heightLeft int, epsLevel float64, m *noise.Meter) int32 {
 	w, h := r.X1-r.X0, r.Y1-r.Y0
 	if kdLeft == 0 || heightLeft <= 1 || (w == 1 && h == 1) {
 		for i := 0; i < kdLeft; i++ {
 			m.ChargePar(idxLabel(kdLabels, kdTotal-kdLeft+i), epsLevel)
 		}
-		return tree.BuildQuadRegion(nx, r, heightLeft)
+		return f.AddQuad(nx, r, depth, heightLeft)
 	}
-	label := idxLabel(kdLabels, kdTotal-kdLeft)
-	nd := &tree.Node{}
-	var cut int
-	if w >= h {
-		marg := noisyMarginal(data, nx, r, true, epsLevel, label, m)
-		cut = r.X0 + marginalMedian(marg)
-		if cut <= r.X0 || cut >= r.X1 {
-			cut = (r.X0 + r.X1) / 2
-		}
-		left := tree.Rect{X0: r.X0, Y0: r.Y0, X1: cut, Y1: r.Y1}
-		right := tree.Rect{X0: cut, Y0: r.Y0, X1: r.X1, Y1: r.Y1}
-		nd.Children = []*tree.Node{
-			t.buildKD(data, nx, left, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
-			t.buildKD(data, nx, right, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
-		}
-		return nd
-	}
-	marg := noisyMarginal(data, nx, r, false, epsLevel, label, m)
-	cut = r.Y0 + marginalMedian(marg)
-	if cut <= r.Y0 || cut >= r.Y1 {
-		cut = (r.Y0 + r.Y1) / 2
-	}
-	top := tree.Rect{X0: r.X0, Y0: r.Y0, X1: r.X1, Y1: cut}
-	bottom := tree.Rect{X0: r.X0, Y0: cut, X1: r.X1, Y1: r.Y1}
-	nd.Children = []*tree.Node{
-		t.buildKD(data, nx, top, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
-		t.buildKD(data, nx, bottom, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m),
-	}
-	return nd
-}
-
-// noisyMarginal returns the Laplace-noised marginal of the region along x
-// (overX true) or y. One marginal is a vector query of sensitivity 1 over
-// the region, and the regions sharing a kd level are disjoint, so all of a
-// level's per-bin draws form one parallel scope of eps.
-func noisyMarginal(data []float64, nx int, r tree.Rect, overX bool, eps float64, label string, m *noise.Meter) []float64 {
-	var marg []float64
-	if overX {
-		marg = make([]float64, r.X1-r.X0)
-		for y := r.Y0; y < r.Y1; y++ {
-			for x := r.X0; x < r.X1; x++ {
-				marg[x-r.X0] += data[y*nx+x]
-			}
-		}
-	} else {
-		marg = make([]float64, r.Y1-r.Y0)
-		for y := r.Y0; y < r.Y1; y++ {
-			for x := r.X0; x < r.X1; x++ {
-				marg[y-r.Y0] += data[y*nx+x]
-			}
-		}
-	}
-	// One parallel scope for the whole marginal: the bins partition the
-	// region, so the vectorized parallel draw charges eps once instead of
-	// recording a ledger spend per bin.
-	return m.LaplaceVecParInto(label, marg, marg, 1/eps, eps)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	// One parallel scope for the whole marginal: it is a vector query of
+	// sensitivity 1 over the region, and the regions sharing a kd level are
+	// disjoint, so the vectorized parallel draw charges eps once for all of a
+	// level's bins.
+	overX := w >= h
+	vals := regionMarginal(marg, data, nx, r, overX)
+	noisy := m.LaplaceVecParInto(idxLabel(kdLabels, kdTotal-kdLeft), vals, vals, 1/epsLevel, epsLevel)
+	a, b := splitAtMedian(r, noisy, overX)
+	i := f.AddBranch(nx, r, depth, 2)
+	f.SetKid(i, 0, t.buildKD(f, marg, data, nx, a, depth+1, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m))
+	f.SetKid(i, 1, t.buildKD(f, marg, data, nx, b, depth+1, kdLeft-1, kdTotal, heightLeft-1, epsLevel, m))
+	return i
 }

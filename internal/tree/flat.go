@@ -8,21 +8,24 @@ import (
 	"dpbench/internal/noise"
 )
 
-// Flat is an immutable, flattened aggregation tree: pure structure (topology,
-// depths, spans, leaf cell lists) with no per-trial state, so one Flat built
-// once per experiment cell can be shared read-only across every sample, trial
-// and worker that needs the same hierarchy. Per-trial values (measurements
-// and the inference passes' intermediates) live in a Scratch drawn from the
-// Flat's internal pool, which is what turns the tree mechanisms' per-trial
-// cost from "rebuild the whole structure" into "draw the noise".
+// Flat is a flattened aggregation tree: pure structure (topology, depths,
+// spans, leaf cell lists) with no per-trial state. A shared Flat, built once
+// per shape by SharedInterval, SharedGrid or SharedQuad, is immutable and
+// serves every sample, trial and worker that needs the same hierarchy; its
+// per-trial values (measurements and the inference passes' intermediates)
+// live in a Scratch drawn from the Flat's internal pool, which is what turns
+// the tree mechanisms' per-trial cost from "rebuild the whole structure" into
+// "draw the noise". A Flat rebuilt per trial (RebuildInterval, or Reset plus
+// the Add* builders for HybridTree's data-dependent kd levels) reuses its own
+// arrays instead and is single-owner.
 //
-// Nodes are stored in pre-order, the exact order Node.Walk visits them, so
-// MeasureInto draws the identical noise stream as Node.Measure; children of a
-// node are recorded in their original order, so every floating-point
-// reduction (true-count sums, the inference passes) reproduces the recursive
-// implementation's association bit for bit.
+// Nodes are stored in pre-order (a node before its subtree, subtrees in
+// child order), so MeasureInto draws a node's noise after its ancestors' and
+// its earlier siblings' subtrees'. Children keep their construction order,
+// which fixes the association of every floating-point reduction (true-count
+// sums, the inference passes): the same tree yields bit-identical output.
 type Flat struct {
-	n      int // number of cells covered (leaves partition [0, n) for builders)
+	n      int // number of cells covered
 	height int
 
 	depth  []int32
@@ -30,7 +33,7 @@ type Flat struct {
 	kids   []int32
 	celOff []int32 // leaf cells of node i: cells[celOff[i]:celOff[i+1]]
 	cells  []int32
-	spanLo []int32 // inclusive covered cell span, from Node.Span
+	spanLo []int32 // inclusive min/max covered flat cell index
 	spanHi []int32
 
 	pool sync.Pool // *Scratch
@@ -41,6 +44,7 @@ type Flat struct {
 // one with Acquire and return it with Release; a Scratch is not safe for
 // concurrent use, but distinct Scratches over the same Flat are.
 type Scratch struct {
+	buf  []float64 // backs all the arrays below
 	sums []float64 // exact per-node totals of the trial's data vector
 	y    []float64 // noisy measurements
 	z    []float64 // combined estimate (upward), then target (downward)
@@ -50,162 +54,149 @@ type Scratch struct {
 	vars []float64 // per-level measurement variance (len height)
 }
 
-// Flatten converts a finalized Node tree into its immutable flat form.
-func Flatten(root *Node) *Flat {
-	f := &Flat{n: root.Size(), height: root.Height()}
-	nodes := root.CountNodes()
-	f.depth = make([]int32, nodes)
-	f.kidOff = make([]int32, nodes+1)
-	f.celOff = make([]int32, nodes+1)
-	f.spanLo = make([]int32, nodes)
-	f.spanHi = make([]int32, nodes)
-	// Pre-order index assignment: a node's children get consecutive DFS
-	// visits, and the kids list records their indices in child order.
-	idx := 0
-	var rec func(nd *Node, depth int) int32
-	rec = func(nd *Node, depth int) int32 {
-		i := int32(idx)
-		idx++
-		f.depth[i] = int32(depth)
-		f.spanLo[i], f.spanHi[i] = int32(nd.lo), int32(nd.hi)
-		f.kidOff[i] = int32(len(f.kids))
-		// Reserve the kid slots now so they stay in child order even though
-		// each child's subtree is flattened before the next child's index is
-		// known; pre-order makes child c's index computable only after c-1's
-		// subtree is done, so fill the reserved slots as we go.
-		base := len(f.kids)
-		for range nd.Children {
-			f.kids = append(f.kids, 0)
-		}
-		f.celOff[i] = int32(len(f.cells))
-		for _, c := range nd.Cells {
-			f.cells = append(f.cells, int32(c))
-		}
-		for ci, c := range nd.Children {
-			f.kids[base+ci] = rec(c, depth+1)
-		}
-		return i
-	}
-	rec(root, 0)
-	// kidOff/celOff are per-node starts; close them into prefix form.
-	f.kidOff[nodes] = int32(len(f.kids))
-	f.celOff[nodes] = int32(len(f.cells))
-	f.pool.New = func() any {
-		return &Scratch{
-			sums: make([]float64, nodes),
-			y:    make([]float64, nodes),
-			z:    make([]float64, nodes),
-			zvar: make([]float64, nodes),
-			kSum: make([]float64, nodes),
-			kVar: make([]float64, nodes),
-			vars: make([]float64, f.height),
-		}
-	}
-	return f
-}
-
 // NewScratch returns an empty standalone Scratch that grows on demand. It is
-// the companion of RebuildInterval: rebuildable trees change node counts per
-// rebuild, so their callers hold one auto-sizing scratch instead of drawing
-// from a fixed-size pool.
+// the companion of a rebuilt Flat: its node count changes per rebuild, so its
+// owner holds one auto-sizing scratch instead of drawing from a fixed-size
+// pool.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// ensure grows the scratch to cover nodes and height.
+// ensure sizes the scratch for nodes and height, growing buf if needed.
 func (sc *Scratch) ensure(nodes, height int) {
-	if cap(sc.sums) < nodes {
-		sc.sums = make([]float64, nodes)
-		sc.y = make([]float64, nodes)
-		sc.z = make([]float64, nodes)
-		sc.zvar = make([]float64, nodes)
-		sc.kSum = make([]float64, nodes)
-		sc.kVar = make([]float64, nodes)
-	} else {
-		sc.sums = sc.sums[:nodes]
-		sc.y = sc.y[:nodes]
-		sc.z = sc.z[:nodes]
-		sc.zvar = sc.zvar[:nodes]
-		sc.kSum = sc.kSum[:nodes]
-		sc.kVar = sc.kVar[:nodes]
+	if need := 6*nodes + height; cap(sc.buf) < need {
+		sc.buf = make([]float64, need)
 	}
-	if cap(sc.vars) < height {
-		sc.vars = make([]float64, height)
-	} else {
-		sc.vars = sc.vars[:height]
-	}
+	b := sc.buf
+	sc.sums, b = b[:nodes], b[nodes:]
+	sc.y, b = b[:nodes], b[nodes:]
+	sc.z, b = b[:nodes], b[nodes:]
+	sc.zvar, b = b[:nodes], b[nodes:]
+	sc.kSum, b = b[:nodes], b[nodes:]
+	sc.kVar, b = b[:nodes], b[nodes:]
+	sc.vars = b[:height]
 }
 
-// RebuildInterval rebuilds f in place as the flat form of BuildInterval(n, b)
-// — identical pre-order layout, spans and child order — reusing its arrays,
-// so per-trial throwaway hierarchies (SF's noisy bucket widths never repeat
-// enough to cache) cost zero steady-state allocations to construct. A
-// rebuildable Flat is single-owner: do not share it across goroutines or mix
-// it with the Acquire/Release pool (use NewScratch).
-func (f *Flat) RebuildInterval(n, b int) error {
-	if n <= 0 {
-		return fmt.Errorf("tree: non-positive domain size %d", n)
-	}
-	if b < 2 {
-		return fmt.Errorf("tree: branching factor %d < 2", b)
-	}
-	f.n = n
-	f.height = 0
+// --- builders ---
+//
+// Every shape is built in pre-order into f's arrays: a node is appended with
+// its child slots reserved, then each child subtree is appended and its root
+// recorded in the parent's next slot. Builders are methods, not closures, so
+// the per-call environment never escapes to the heap.
+
+// Reset empties f for a new build over n cells, keeping its arrays'
+// capacity. Append the nodes with AddBranch and AddQuad, then call Seal.
+func (f *Flat) Reset(n int) {
+	f.n, f.height = n, 0
 	f.depth = f.depth[:0]
+	f.kidOff = f.kidOff[:0]
 	f.kids = f.kids[:0]
+	f.celOff = f.celOff[:0]
 	f.cells = f.cells[:0]
 	f.spanLo = f.spanLo[:0]
 	f.spanHi = f.spanHi[:0]
-	// kidOff/celOff are rebuilt as starts and closed into prefix form below.
-	f.kidOff = f.kidOff[:0]
-	f.celOff = f.celOff[:0]
-	f.rebuildRec(0, n, 0, b)
-	f.kidOff = append(f.kidOff, int32(len(f.kids)))
-	f.celOff = append(f.celOff, int32(len(f.cells)))
-	return nil
 }
 
-// rebuildRec is RebuildInterval's recursion (a method, not a closure, so the
-// per-call environment never escapes to the heap).
-func (f *Flat) rebuildRec(lo, hi, depth, b int) int32 {
+// Seal closes the per-node offsets into prefix form; a built tree is usable
+// once sealed.
+func (f *Flat) Seal() {
+	f.kidOff = append(f.kidOff, int32(len(f.kids)))
+	f.celOff = append(f.celOff, int32(len(f.cells)))
+}
+
+// AddBranch appends an internal node at depth covering rectangle r of an
+// nx-wide grid, with k > 0 child slots, and returns its index. The caller
+// then appends the k child subtrees in order, recording each root with
+// SetKid. (Leaves come from the shape builders, which also list their cells.)
+func (f *Flat) AddBranch(nx int, r Rect, depth, k int) int32 {
 	i := int32(len(f.depth))
+	lo, hi := r.span(nx)
 	f.depth = append(f.depth, int32(depth))
 	f.spanLo = append(f.spanLo, int32(lo))
-	f.spanHi = append(f.spanHi, int32(hi-1))
+	f.spanHi = append(f.spanHi, int32(hi))
 	f.kidOff = append(f.kidOff, int32(len(f.kids)))
 	f.celOff = append(f.celOff, int32(len(f.cells)))
 	if depth+1 > f.height {
 		f.height = depth + 1
 	}
-	span := hi - lo
-	if span == 1 {
-		f.cells = append(f.cells, int32(lo))
-		return i
+	for ; k > 0; k-- {
+		f.kids = append(f.kids, 0)
 	}
-	// Split into at most b nearly equal chunks, as buildInterval does.
-	chunks := b
-	if span < b {
-		chunks = span
-	}
-	base := len(f.kids)
-	start := lo
-	for c := 0; c < chunks; c++ {
-		end := lo + (span*(c+1))/chunks
-		if end > start {
-			f.kids = append(f.kids, 0)
-			start = end
-		}
-	}
-	// f.kids grows while children are flattened; index via base.
-	start = lo
-	ci := 0
-	for c := 0; c < chunks; c++ {
-		end := lo + (span*(c+1))/chunks
-		if end > start {
-			f.kids[base+ci] = f.rebuildRec(start, end, depth+1, b)
-			ci++
-			start = end
+	return i
+}
+
+// SetKid records kid as child c of node i.
+func (f *Flat) SetKid(i int32, c int, kid int32) { f.kids[f.kidOff[i]+int32(c)] = kid }
+
+// addLeaf appends a leaf at depth covering r's cells in row-major order.
+func (f *Flat) addLeaf(nx int, r Rect, depth int) int32 {
+	i := f.AddBranch(nx, r, depth, 0)
+	for y := r.Y0; y < r.Y1; y++ {
+		for x := r.X0; x < r.X1; x++ {
+			f.cells = append(f.cells, int32(y*nx+x))
 		}
 	}
 	return i
+}
+
+// addGrid appends the hierarchy over r whose every level splits each
+// dimension into at most b nearly equal parts (up to b*b children per node,
+// row by row), down to single-cell leaves. An interval tree over [0, n) is
+// the one-row grid n x 1.
+func (f *Flat) addGrid(nx int, r Rect, depth, b int) int32 {
+	w, h := r.X1-r.X0, r.Y1-r.Y0
+	if w == 1 && h == 1 {
+		return f.addLeaf(nx, r, depth)
+	}
+	cx, cy := min(b, w), min(b, h)
+	i := f.AddBranch(nx, r, depth, cx*cy)
+	for yi := 0; yi < cy; yi++ {
+		for xi := 0; xi < cx; xi++ {
+			q := Rect{r.X0 + w*xi/cx, r.Y0 + h*yi/cy, r.X0 + w*(xi+1)/cx, r.Y0 + h*(yi+1)/cy}
+			f.SetKid(i, yi*cx+xi, f.addGrid(nx, q, depth+1, b))
+		}
+	}
+	return i
+}
+
+// AddQuad appends the quadtree over r of an nx-wide grid, rooted at depth
+// with at most maxHeight levels, and returns its root. Splitting stops at
+// single cells or at the height cap; truncated leaves cover their whole
+// rectangle (this is what makes a height-limited QuadTree data-dependent
+// and, on large domains, inconsistent — Theorem 5).
+func (f *Flat) AddQuad(nx int, r Rect, depth, maxHeight int) int32 {
+	w, h := r.X1-r.X0, r.Y1-r.Y0
+	if maxHeight <= 1 || (w == 1 && h == 1) {
+		return f.addLeaf(nx, r, depth)
+	}
+	mx, my := r.X0+(w+1)/2, r.Y0+(h+1)/2
+	quads := [4]Rect{{r.X0, r.Y0, mx, my}, {mx, r.Y0, r.X1, my}, {r.X0, my, mx, r.Y1}, {mx, my, r.X1, r.Y1}}
+	k := 0
+	for _, q := range quads {
+		if q.X1 > q.X0 && q.Y1 > q.Y0 {
+			quads[k] = q
+			k++
+		}
+	}
+	i := f.AddBranch(nx, r, depth, k)
+	for c, q := range quads[:k] {
+		f.SetKid(i, c, f.AddQuad(nx, q, depth+1, maxHeight-1))
+	}
+	return i
+}
+
+// RebuildInterval rebuilds f in place as the b-ary interval tree over
+// [0, n) — the layout SharedInterval(n, b) has — reusing its arrays, so
+// per-trial throwaway hierarchies (SF's noisy bucket widths never repeat
+// enough to cache) cost zero steady-state allocations to construct. A
+// rebuilt Flat is single-owner: do not share it across goroutines or mix it
+// with the Acquire/Release pool (use NewScratch).
+func (f *Flat) RebuildInterval(n, b int) error {
+	if err := checkShape(n, 1, b, 2, "branching factor"); err != nil {
+		return err
+	}
+	f.Reset(n)
+	f.addGrid(n, Rect{X1: n, Y1: 1}, 0, b)
+	f.Seal()
+	return nil
 }
 
 // N returns the number of cells the tree covers.
@@ -226,10 +217,8 @@ func (f *Flat) Release(sc *Scratch) { f.pool.Put(sc) }
 func (f *Flat) isLeaf(i int) bool { return f.kidOff[i] == f.kidOff[i+1] }
 
 // ComputeSums fills sc's per-node totals of data bottom-up. Leaf sums add
-// cells in list order and internal sums add children in child order — the
-// same association as Node.TrueCount's recursion, so the values are bitwise
-// identical while the total work drops from O(nodes * depth) pointer chasing
-// to one linear pass.
+// cells in list order and internal sums add children in child order, in one
+// linear pass over the nodes.
 func (f *Flat) ComputeSums(data []float64, sc *Scratch) {
 	sc.ensure(len(f.depth), f.height)
 	for i := len(f.depth) - 1; i >= 0; i-- {
@@ -248,9 +237,11 @@ func (f *Flat) ComputeSums(data []float64, sc *Scratch) {
 }
 
 // MeasureInto draws one Laplace measurement per node at the per-level budget
-// epsByLevel, in pre-order — the exact draw order (and ledger charges) of
-// Node.Measure — writing noisy totals into the scratch. ComputeSums must run
-// first. A zero (or missing) level budget leaves the level unmeasured.
+// epsByLevel, in pre-order, writing noisy totals into the scratch. Each
+// level's nodes partition the covered cells, so each level is charged as a
+// parallel scope under LevelLabel(depth) and the whole tree costs
+// sum(epsByLevel). ComputeSums must run first. A zero (or missing) level
+// budget leaves the level unmeasured.
 func (f *Flat) MeasureInto(m *noise.Meter, sc *Scratch, epsByLevel []float64) {
 	sc.ensure(len(f.depth), f.height)
 	for d := 0; d < f.height; d++ {
@@ -274,8 +265,11 @@ func (f *Flat) MeasureInto(m *noise.Meter, sc *Scratch, epsByLevel []float64) {
 
 // InferInto runs the two-pass weighted least-squares consistency inference
 // over the scratch's measurements and writes per-cell estimates into out
-// (which is zeroed first). The passes visit children in child order, so every
-// sum and correction reproduces Node.Infer's floating-point result exactly.
+// (which is zeroed first). The upward pass combines each node's measurement
+// with its children's total at minimum variance; the downward pass hands each
+// child a share of its parent's residual in proportion to its variance.
+// Truncated leaves spread their estimate uniformly over their cells (the
+// uniformity assumption of Section 3.1).
 func (f *Flat) InferInto(sc *Scratch, out []float64) {
 	nodes := len(f.depth)
 	// Upward pass in reverse pre-order: every node's children are processed
@@ -317,8 +311,8 @@ func (f *Flat) InferInto(sc *Scratch, out []float64) {
 		}
 	}
 	// Downward pass in pre-order: z[i] is promoted in place from combined
-	// estimate to final target (parents are fully resolved before children
-	// are visited, exactly as the recursion resolves them).
+	// estimate to final target (parents are fully resolved before their
+	// children are visited).
 	for i := range out {
 		out[i] = 0
 	}
@@ -346,9 +340,8 @@ func (f *Flat) InferInto(sc *Scratch, out []float64) {
 
 // AddCanonicalCount adds, per tree level, the number of maximal nodes fully
 // contained in the inclusive cell range [lo, hi] — the canonical range
-// decomposition GreedyH weights hierarchy levels by. Node spans are the
-// cached Node.Span values, so the walk prunes exactly as the recursive
-// countCanonical does.
+// decomposition GreedyH weights hierarchy levels by. The walk prunes at
+// nodes whose span lies outside the range.
 func (f *Flat) AddCanonicalCount(lo, hi int, weights []float64) {
 	f.addCanonical(0, int32(lo), int32(hi), weights)
 }
@@ -376,48 +369,66 @@ func (f *Flat) addCanonical(i int, lo, hi int32, weights []float64) {
 var flatCache sync.Map // flatKey -> *Flat
 
 type flatKey struct {
-	kind       uint8 // 0 interval, 1 grid, 2 quad
-	nx, ny, bh int   // branching factor or height cap, per kind
+	quad       bool
+	nx, ny, bh int // branching factor (grid) or height cap (quad)
 }
 
-// SharedInterval returns the cached flattened b-ary interval tree over [0, n).
-func SharedInterval(n, b int) (*Flat, error) {
-	key := flatKey{kind: 0, nx: n, bh: b}
+// checkShape validates a grid (or, with ny = 1, an interval) shape and its
+// branching factor or height cap bh, which must be at least minBH.
+func checkShape(nx, ny, bh, minBH int, what string) error {
+	if nx <= 0 || ny <= 0 {
+		return fmt.Errorf("tree: non-positive domain %dx%d", nx, ny)
+	}
+	if bh < minBH {
+		return fmt.Errorf("tree: %s %d < %d", what, bh, minBH)
+	}
+	return nil
+}
+
+// shared returns the cached tree for key, building it on first use.
+func shared(key flatKey) *Flat {
 	if v, ok := flatCache.Load(key); ok {
-		return v.(*Flat), nil
+		return v.(*Flat)
 	}
-	root, err := BuildInterval(n, b)
-	if err != nil {
-		return nil, err
+	f := &Flat{}
+	f.Reset(key.nx * key.ny)
+	r := Rect{X1: key.nx, Y1: key.ny}
+	if key.quad {
+		f.AddQuad(key.nx, r, 0, key.bh)
+	} else {
+		f.addGrid(key.nx, r, 0, key.bh)
 	}
-	v, _ := flatCache.LoadOrStore(key, Flatten(root))
-	return v.(*Flat), nil
+	f.Seal()
+	f.pool.New = func() any {
+		sc := NewScratch()
+		sc.ensure(len(f.depth), f.height)
+		return sc
+	}
+	v, _ := flatCache.LoadOrStore(key, f)
+	return v.(*Flat)
 }
 
-// SharedGrid returns the cached flattened b-ary grid hierarchy over nx x ny.
+// SharedInterval returns the cached b-ary interval tree over [0, n): each
+// level splits a node's range into at most b nearly equal contiguous pieces,
+// down to single-cell leaves.
+func SharedInterval(n, b int) (*Flat, error) { return SharedGrid(n, 1, b) }
+
+// SharedGrid returns the cached hierarchy over an nx x ny grid where every
+// level splits each dimension into at most b nearly equal parts (so a node
+// has up to b*b children), down to single-cell leaves. Hb's
+// multi-dimensional variant uses it with its variance-optimal b.
 func SharedGrid(nx, ny, b int) (*Flat, error) {
-	key := flatKey{kind: 1, nx: nx, ny: ny, bh: b}
-	if v, ok := flatCache.Load(key); ok {
-		return v.(*Flat), nil
-	}
-	root, err := BuildGrid(nx, ny, b)
-	if err != nil {
+	if err := checkShape(nx, ny, b, 2, "branching factor"); err != nil {
 		return nil, err
 	}
-	v, _ := flatCache.LoadOrStore(key, Flatten(root))
-	return v.(*Flat), nil
+	return shared(flatKey{nx: nx, ny: ny, bh: b}), nil
 }
 
-// SharedQuad returns the cached flattened height-capped quadtree over nx x ny.
+// SharedQuad returns the cached quadtree over nx x ny with at most maxHeight
+// levels (see AddQuad).
 func SharedQuad(nx, ny, maxHeight int) (*Flat, error) {
-	key := flatKey{kind: 2, nx: nx, ny: ny, bh: maxHeight}
-	if v, ok := flatCache.Load(key); ok {
-		return v.(*Flat), nil
-	}
-	root, err := BuildQuad(nx, ny, maxHeight)
-	if err != nil {
+	if err := checkShape(nx, ny, maxHeight, 1, "height"); err != nil {
 		return nil, err
 	}
-	v, _ := flatCache.LoadOrStore(key, Flatten(root))
-	return v.(*Flat), nil
+	return shared(flatKey{quad: true, nx: nx, ny: ny, bh: maxHeight}), nil
 }

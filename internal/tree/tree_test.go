@@ -9,157 +9,176 @@ import (
 	"dpbench/internal/noise"
 )
 
+// leafCoverage counts how many leaves cover each of f's cells, and returns
+// the per-leaf cell counts in pre-order.
+func leafCoverage(f *Flat) (cover []int, leafSizes []int) {
+	cover = make([]int, f.N())
+	for i := 0; i < f.NumNodes(); i++ {
+		if f.isLeaf(i) {
+			cells := f.cells[f.celOff[i]:f.celOff[i+1]]
+			leafSizes = append(leafSizes, len(cells))
+			for _, c := range cells {
+				cover[c]++
+			}
+		}
+	}
+	return cover, leafSizes
+}
+
+func checkPartition(t *testing.T, f *Flat) {
+	t.Helper()
+	cover, _ := leafCoverage(f)
+	for c, k := range cover {
+		if k != 1 {
+			t.Fatalf("cell %d covered by %d leaves, want 1", c, k)
+		}
+	}
+}
+
+// estimate runs one trial of the flat pipeline: sums, measure, infer.
+func estimate(f *Flat, m *noise.Meter, data, budget []float64) []float64 {
+	sc := NewScratch()
+	f.ComputeSums(data, sc)
+	f.MeasureInto(m, sc, budget)
+	out := make([]float64, f.N())
+	f.InferInto(sc, out)
+	return out
+}
+
 func TestBuildIntervalStructure(t *testing.T) {
-	root, err := BuildInterval(8, 2)
+	f, err := SharedInterval(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 8 {
-		t.Fatalf("root size = %d, want 8", root.Size())
+	if f.N() != 8 {
+		t.Fatalf("root size = %d, want 8", f.N())
 	}
-	if h := root.Height(); h != 4 {
+	if h := f.Height(); h != 4 {
 		t.Fatalf("height = %d, want 4", h)
 	}
-	if n := root.CountNodes(); n != 15 {
+	if n := f.NumNodes(); n != 15 {
 		t.Fatalf("nodes = %d, want 15", n)
 	}
 }
 
 func TestBuildIntervalNonPow2(t *testing.T) {
-	root, err := BuildInterval(10, 3)
+	f, err := SharedInterval(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 10 {
-		t.Fatalf("size = %d, want 10", root.Size())
+	if f.N() != 10 {
+		t.Fatalf("size = %d, want 10", f.N())
 	}
-	// Leaves must partition [0,10) exactly.
-	seen := make([]bool, 10)
-	root.Walk(func(nd *Node, _ int) {
-		if nd.IsLeaf() {
-			for _, c := range nd.Cells {
-				if seen[c] {
-					t.Fatalf("cell %d covered twice", c)
-				}
-				seen[c] = true
-			}
-		}
-	})
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("cell %d not covered", i)
-		}
-	}
+	checkPartition(t, f)
 }
 
 func TestBuildIntervalErrors(t *testing.T) {
-	if _, err := BuildInterval(0, 2); err == nil {
+	if _, err := SharedInterval(0, 2); err == nil {
 		t.Fatal("expected error for n=0")
 	}
-	if _, err := BuildInterval(4, 1); err == nil {
+	if _, err := SharedInterval(4, 1); err == nil {
 		t.Fatal("expected error for b=1")
+	}
+	var f Flat
+	if err := f.RebuildInterval(0, 2); err == nil {
+		t.Fatal("expected rebuild error for n=0")
+	}
+	if err := f.RebuildInterval(4, 1); err == nil {
+		t.Fatal("expected rebuild error for b=1")
 	}
 }
 
 func TestBuildQuadCoversGrid(t *testing.T) {
-	root, err := BuildQuad(8, 8, 10)
+	f, err := SharedQuad(8, 8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 64 {
-		t.Fatalf("size = %d, want 64", root.Size())
+	if f.N() != 64 {
+		t.Fatalf("size = %d, want 64", f.N())
 	}
-	seen := make([]bool, 64)
-	root.Walk(func(nd *Node, _ int) {
-		if nd.IsLeaf() {
-			for _, c := range nd.Cells {
-				if seen[c] {
-					t.Fatalf("cell %d covered twice", c)
-				}
-				seen[c] = true
-			}
-		}
-	})
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("cell %d not covered", i)
-		}
-	}
+	checkPartition(t, f)
 }
 
 func TestBuildQuadHeightCap(t *testing.T) {
-	root, err := BuildQuad(16, 16, 3)
+	f, err := SharedQuad(16, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := root.Height(); h > 3 {
+	if h := f.Height(); h > 3 {
 		t.Fatalf("height = %d, want <= 3", h)
 	}
 	// Truncated leaves cover 4x4 blocks.
-	root.Walk(func(nd *Node, _ int) {
-		if nd.IsLeaf() && len(nd.Cells) != 16 {
-			t.Fatalf("leaf covers %d cells, want 16", len(nd.Cells))
+	_, sizes := leafCoverage(f)
+	for _, n := range sizes {
+		if n != 16 {
+			t.Fatalf("leaf covers %d cells, want 16", n)
 		}
-	})
+	}
 }
 
 func TestBuildQuadErrors(t *testing.T) {
-	if _, err := BuildQuad(0, 4, 3); err == nil {
+	if _, err := SharedQuad(0, 4, 3); err == nil {
 		t.Fatal("expected error for nx=0")
 	}
-	if _, err := BuildQuad(4, 4, 0); err == nil {
+	if _, err := SharedQuad(4, 4, 0); err == nil {
 		t.Fatal("expected error for height=0")
 	}
 }
 
 func TestBuildGridBranching(t *testing.T) {
-	root, err := BuildGrid(9, 9, 3)
+	f, err := SharedGrid(9, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Size() != 81 {
-		t.Fatalf("size = %d, want 81", root.Size())
+	if f.N() != 81 {
+		t.Fatalf("size = %d, want 81", f.N())
 	}
-	if got := len(root.Children); got != 9 {
+	if got := f.kidOff[1] - f.kidOff[0]; got != 9 {
 		t.Fatalf("root children = %d, want 9", got)
 	}
+	checkPartition(t, f)
 }
 
 func TestTrueCount(t *testing.T) {
-	root, _ := BuildInterval(4, 2)
-	data := []float64{1, 2, 3, 4}
-	if got := root.TrueCount(data); got != 10 {
-		t.Fatalf("TrueCount = %v, want 10", got)
+	f, _ := SharedInterval(4, 2)
+	sc := NewScratch()
+	f.ComputeSums([]float64{1, 2, 3, 4}, sc)
+	if got := sc.sums[0]; got != 10 {
+		t.Fatalf("root sum = %v, want 10", got)
 	}
 }
 
 func TestMeasureSetsVariances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	root, _ := BuildInterval(8, 2)
-	data := make([]float64, 8)
+	f, _ := SharedInterval(8, 2)
 	eps := tree8Budget(1.0)
-	root.Measure(noise.NewMeter(1, rng), data, eps)
-	root.Walk(func(nd *Node, depth int) {
-		want := 2 / (eps[depth] * eps[depth])
-		if math.Abs(nd.Var-want) > 1e-12 {
-			t.Fatalf("depth %d var = %v, want %v", depth, nd.Var, want)
+	sc := NewScratch()
+	f.ComputeSums(make([]float64, 8), sc)
+	f.MeasureInto(noise.NewMeter(1, rng), sc, eps)
+	for d := range eps {
+		want := 2 / (eps[d] * eps[d])
+		if math.Abs(sc.vars[d]-want) > 1e-12 {
+			t.Fatalf("depth %d var = %v, want %v", d, sc.vars[d], want)
 		}
-	})
+	}
 }
 
 func tree8Budget(eps float64) []float64 { return UniformLevelBudget(eps, 4) }
 
 func TestMeasureUnmeasuredLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	root, _ := BuildInterval(4, 2)
+	f, _ := SharedInterval(4, 2)
 	data := []float64{5, 5, 5, 5}
 	// Only leaves measured.
 	budget := []float64{0, 0, 1}
-	root.Measure(noise.NewMeter(1, rng), data, budget)
-	if !math.IsInf(root.Var, 1) {
-		t.Fatalf("unmeasured root should have infinite variance, got %v", root.Var)
+	sc := NewScratch()
+	f.ComputeSums(data, sc)
+	f.MeasureInto(noise.NewMeter(1, rng), sc, budget)
+	if !math.IsInf(sc.vars[0], 1) {
+		t.Fatalf("unmeasured root should have infinite variance, got %v", sc.vars[0])
 	}
-	est := root.Infer(4)
+	est := make([]float64, 4)
+	f.InferInto(sc, est)
 	var total float64
 	for _, v := range est {
 		total += v
@@ -172,13 +191,12 @@ func TestMeasureUnmeasuredLevels(t *testing.T) {
 func TestInferExactWhenNoiseFree(t *testing.T) {
 	// With essentially infinite budget, inference must reproduce the data.
 	rng := rand.New(rand.NewSource(3))
-	root, _ := BuildInterval(16, 2)
+	f, _ := SharedInterval(16, 2)
 	data := make([]float64, 16)
 	for i := range data {
 		data[i] = float64(i * i)
 	}
-	root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(1e9, root.Height()))
-	est := root.Infer(16)
+	est := estimate(f, noise.NewMeter(1, rng), data, UniformLevelBudget(1e9, f.Height()))
 	for i := range data {
 		if math.Abs(est[i]-data[i]) > 1e-3 {
 			t.Fatalf("cell %d: est %v, want %v", i, est[i], data[i])
@@ -190,13 +208,12 @@ func TestInferConsistency(t *testing.T) {
 	// After inference, each parent estimate equals the sum of its children
 	// at the cell level: total of cells equals root-consistent estimate.
 	rng := rand.New(rand.NewSource(4))
-	root, _ := BuildInterval(32, 2)
+	f, _ := SharedInterval(32, 2)
 	data := make([]float64, 32)
 	for i := range data {
 		data[i] = float64(i % 7)
 	}
-	root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(0.5, root.Height()))
-	est := root.Infer(32)
+	est := estimate(f, noise.NewMeter(1, rng), data, UniformLevelBudget(0.5, f.Height()))
 	// Walk each node: its leaf-spread estimate must be internally consistent,
 	// i.e. cell sums within each node's span should match the hierarchical
 	// estimate the downward pass assigned. We verify the weaker, exact
@@ -229,10 +246,9 @@ func TestInferVarianceReduction(t *testing.T) {
 	trueTotal := float64(n * 10)
 	var hierSE, flatSE float64
 	rng := rand.New(rand.NewSource(5))
+	f, _ := SharedInterval(n, 2)
 	for trial := 0; trial < trials; trial++ {
-		root, _ := BuildInterval(n, 2)
-		root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(eps, root.Height()))
-		est := root.Infer(n)
+		est := estimate(f, noise.NewMeter(1, rng), data, UniformLevelBudget(eps, f.Height()))
 		var ht float64
 		for _, v := range est {
 			ht += v
@@ -284,35 +300,61 @@ func TestGeometricLevelBudgetSumsAndGrows(t *testing.T) {
 }
 
 func TestBuildQuadRegionAndFinalize(t *testing.T) {
-	nd := BuildQuadRegion(8, Rect{X0: 0, Y0: 0, X1: 4, Y1: 4}, 2)
-	if err := nd.Finalize(); err != nil {
-		t.Fatal(err)
+	// A quadtree hung under a kd level: rooted at depth 1 over a 4x4 region
+	// of an 8-wide grid.
+	var f Flat
+	f.Reset(64)
+	root := f.AddBranch(8, Rect{X1: 8, Y1: 8}, 0, 1)
+	f.SetKid(root, 0, f.AddQuad(8, Rect{X0: 0, Y0: 0, X1: 4, Y1: 4}, 1, 2))
+	f.Seal()
+	if h := f.Height(); h != 3 {
+		t.Fatalf("height = %d, want 3", h)
 	}
-	if nd.Size() != 16 {
-		t.Fatalf("region size = %d, want 16", nd.Size())
+	cover, sizes := leafCoverage(&f)
+	if len(sizes) != 4 {
+		t.Fatalf("%d leaves, want 4", len(sizes))
+	}
+	covered := 0
+	for c, k := range cover {
+		if k > 0 {
+			covered++
+			if x, y := c%8, c/8; x >= 4 || y >= 4 || k != 1 {
+				t.Fatalf("cell %d covered %d times", c, k)
+			}
+		}
+	}
+	if covered != 16 {
+		t.Fatalf("region covers %d cells, want 16", covered)
 	}
 }
 
 func TestIntervalLeafCoverageProperty(t *testing.T) {
+	// One arena is rebuilt across all sizes, so the check also covers Reset:
+	// every rebuild must lay out exactly the shared tree of its shape.
+	var arena Flat
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(200)
 		b := 2 + rng.Intn(6)
-		root, err := BuildInterval(n, b)
-		if err != nil {
+		shared, err := SharedInterval(n, b)
+		if err != nil || arena.RebuildInterval(n, b) != nil {
 			return false
 		}
-		covered := 0
-		ok := true
-		root.Walk(func(nd *Node, _ int) {
-			if nd.IsLeaf() {
-				covered += len(nd.Cells)
-				if len(nd.Cells) != 1 {
-					ok = false // interval trees recurse to single cells
-				}
+		if layoutDigest(&arena) != layoutDigest(shared) {
+			return false
+		}
+		cover, sizes := leafCoverage(shared)
+		for _, k := range cover {
+			if k != 1 {
+				return false
 			}
-		})
-		return ok && covered == n && root.Size() == n
+		}
+		for _, k := range sizes {
+			if k != 1 {
+				return false // interval trees recurse to single cells
+			}
+		}
+		return shared.N() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -325,7 +367,7 @@ func TestInferPreservesTotalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(100)
-		root, err := BuildInterval(n, 2)
+		f, err := SharedInterval(n, 2)
 		if err != nil {
 			return false
 		}
@@ -333,8 +375,7 @@ func TestInferPreservesTotalProperty(t *testing.T) {
 		for i := range data {
 			data[i] = float64(rng.Intn(50))
 		}
-		root.Measure(noise.NewMeter(1, rng), data, UniformLevelBudget(100, root.Height()))
-		est := root.Infer(n)
+		est := estimate(f, noise.NewMeter(1, rng), data, UniformLevelBudget(100, f.Height()))
 		var total, want float64
 		for i := range data {
 			total += est[i]

@@ -167,20 +167,30 @@ func TestPlanExecuteDegenerateDomains(t *testing.T) {
 	}
 }
 
-// TestSharedPlanConcurrentExecute shares one data-independent plan across 8
-// goroutines executing simultaneously (run under -race in CI): per-trial
-// state must live entirely in pooled scratch, and each goroutine's output
-// must still match a serial Run with its seed.
+// TestSharedPlanConcurrentExecute shares one plan across 8 goroutines
+// executing simultaneously (run under -race in CI): per-trial state must
+// live entirely in pooled scratch, and each goroutine's output must still
+// match a serial Run with its seed.
 func TestSharedPlanConcurrentExecute(t *testing.T) {
-	for _, name := range []string{"H", "HB", "PRIVELET", "GREEDY-H", "EFPA", "IDENTITY", "DAWA", "MWEM"} {
-		name := name
+	for _, c := range []struct {
+		name string
+		dims []int
+	}{
+		{"H", []int{128}}, {"HB", []int{128}}, {"PRIVELET", []int{128}}, {"GREEDY-H", []int{128}},
+		{"EFPA", []int{128}}, {"IDENTITY", []int{128}}, {"DAWA", []int{128}}, {"MWEM", []int{128}},
+		{"HYBRIDTREE", []int{8, 16}}, {"DPCUBE", []int{8, 16}},
+	} {
+		name := c.name
 		t.Run(name, func(t *testing.T) {
 			a, err := New(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := 128
-			x := planVec1D(t, 9, n)
+			x, err := vec.FromData(planVec1D(t, 9, n).Data, c.dims...)
+			if err != nil {
+				t.Fatal(err)
+			}
 			w := workload.Prefix(n)
 			p, err := a.Plan(x, w, 0.5)
 			if err != nil {

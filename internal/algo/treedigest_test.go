@@ -9,8 +9,9 @@ import (
 )
 
 // treeDigestCases pin the exact output stream of every tree-structured
-// mechanism (and DPCube's kd partitioning) on a square power-of-two grid and
-// a non-square, non-power-of-two one, under both samplers. A change to how a
+// mechanism, DPCube's kd partitioning (1D and 2D) and AGrid's two-level
+// grid on a square power-of-two grid and a non-square, non-power-of-two one
+// (a power-of-two and a non-power-of-two domain in 1D), under both samplers. A change to how a
 // hierarchy is built, measured or inferred that moves a single ulp or a
 // single noise draw fails here.
 var treeDigestCases = []struct {
@@ -28,6 +29,10 @@ var treeDigestCases = []struct {
 	{"HYBRIDTREE-h5", func() Algorithm { return &HybridTree{KDLevels: 4, MaxHeight: 5, StructRho: 0.2} }, []int{7, 13}, "d0b50a8f2504ac0e", "f970b56c755fd651"},
 	{"DPCUBE", func() Algorithm { return &DPCube{Rho: 0.5, MinCells: 10} }, []int{64, 64}, "9269b9a124826492", "69aea7ce1e068505"},
 	{"DPCUBE", func() Algorithm { return &DPCube{Rho: 0.5, MinCells: 10} }, []int{7, 13}, "b78a8463b2603ca9", "7c21c8b89e65ac57"},
+	{"DPCUBE", func() Algorithm { return &DPCube{Rho: 0.5, MinCells: 10} }, []int{4096}, "7d72c93e54f9e494", "27cb8e3a861103d3"},
+	{"DPCUBE", func() Algorithm { return &DPCube{Rho: 0.5, MinCells: 10} }, []int{91}, "cd4bf889365cb0a1", "cb0df42ab956dcf1"},
+	{"AGRID", func() Algorithm { return &AGrid{C: 10, C2: 5, Rho: 0.5} }, []int{64, 64}, "91c0b53649016816", "1714a9db358a7366"},
+	{"AGRID", func() Algorithm { return &AGrid{C: 10, C2: 5, Rho: 0.5} }, []int{7, 13}, "af565253bc05b9cc", "12e750e234850123"},
 	{"QUADTREE", func() Algorithm { return &QuadTree{MaxHeight: 10} }, []int{64, 64}, "5b7c399e4c15e503", "9a3cf566bdf61005"},
 	{"QUADTREE", func() Algorithm { return &QuadTree{MaxHeight: 10} }, []int{7, 13}, "c50dce25486e937c", "6a4e0f1d0c31ce9c"},
 	{"HB", func() Algorithm { return Hb{} }, []int{64, 64}, "e3b446e5d19b636f", "7480aa0bf48f089c"},

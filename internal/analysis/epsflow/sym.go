@@ -204,24 +204,29 @@ func polyScale(a poly, c *big.Rat) poly {
 
 func polyEqual(a, b poly) bool { return polySub(a, b).isZero() }
 
-// monos returns the monomials in canonical (lexicographic key) order.
+// monos returns the monomials in canonical order: total degree descending,
+// then key, giving a deterministic leading term for division and rendering.
+// Each degree is decoded once, not once per comparison.
 func (p poly) monos() []mono {
-	out := make([]mono, 0, len(p))
+	type graded struct {
+		m   mono
+		deg int
+	}
+	gs := make([]graded, 0, len(p))
 	for m := range p {
-		out = append(out, m)
+		gs = append(gs, graded{m, monoDeg(m)})
 	}
-	sort.Slice(out, func(i, j int) bool { return monoLess(out[i], out[j]) })
+	sort.Slice(gs, func(i, j int) bool {
+		if gs[i].deg != gs[j].deg {
+			return gs[i].deg > gs[j].deg
+		}
+		return gs[i].m < gs[j].m
+	})
+	out := make([]mono, len(gs))
+	for i, g := range gs {
+		out[i] = g.m
+	}
 	return out
-}
-
-// monoLess orders by total degree then key, giving a deterministic leading
-// term for division and rendering.
-func monoLess(a, b mono) bool {
-	da, db := monoDeg(a), monoDeg(b)
-	if da != db {
-		return da > db
-	}
-	return a < b
 }
 
 func monoDeg(m mono) int {

@@ -232,10 +232,12 @@ type agridPlan struct {
 }
 
 // agridScratch recycles one trial's working buffers: the second-level
-// region counts and, under Rside, the per-trial coarse grid boundaries.
+// region counts, the second-level grid boundaries (nx+1 and ny+1 cover any
+// region) and, under Rside, the per-trial coarse grid boundaries.
 type agridScratch struct {
-	sub    []float64
-	xb, yb []int
+	sub      []float64
+	xb2, yb2 []int
+	xb, yb   []int
 }
 
 // Plan implements Algorithm.
@@ -274,6 +276,8 @@ func (a *AGrid) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, er
 			side := minInt(nx, ny) + 1
 			return &agridScratch{
 				sub: make([]float64, nx*ny),
+				xb2: make([]int, nx+1),
+				yb2: make([]int, ny+1),
 				xb:  make([]int, side),
 				yb:  make([]int, side),
 			}
@@ -295,7 +299,13 @@ func (a *AGrid) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, er
 			}
 		}
 	}
-	p.bufs.New = func() any { return &agridScratch{sub: make([]float64, maxArea)} }
+	p.bufs.New = func() any {
+		return &agridScratch{
+			sub: make([]float64, maxArea),
+			xb2: make([]int, nx+1),
+			yb2: make([]int, ny+1),
+		}
+	}
 	return p, nil
 }
 
@@ -348,7 +358,7 @@ func (p *agridPlan) Execute(m *noise.Meter, out []float64) error {
 			m2 = clampInt(m2, 1, minInt(x1-x0, y1-y0))
 			area := (x1 - x0) * (y1 - y0)
 			region := sub[:area]
-			measureRegion(m, "level2", p.data, p.nx, x0, y0, x1, y1, m2, m2, eps2, region)
+			measureRegion(m, "level2", p.data, p.nx, x0, y0, x1, y1, m2, m2, eps2, region, sc.xb2, sc.yb2)
 			// Consistency: rescale the level-2 cells to match level 1.
 			var subTotal float64
 			for _, v := range region {
@@ -449,11 +459,12 @@ func measureGrid(m *noise.Meter, label string, data []float64, nx, ny, x0, y0, x
 }
 
 // measureRegion is measureGrid writing into a region-local buffer sub of
-// width x1-x0.
-func measureRegion(m *noise.Meter, label string, data []float64, nx, x0, y0, x1, y1, mx, my int, eps float64, sub []float64) {
+// width x1-x0, with the grid boundaries written into xbBuf and ybBuf (whose
+// capacities must exceed the region's width and height).
+func measureRegion(m *noise.Meter, label string, data []float64, nx, x0, y0, x1, y1, mx, my int, eps float64, sub []float64, xbBuf, ybBuf []int) {
 	w := x1 - x0
-	xb := gridBounds(w, mx)
-	yb := gridBounds(y1-y0, my)
+	xb := gridBoundsInto(xbBuf, w, mx)
+	yb := gridBoundsInto(ybBuf, y1-y0, my)
 	for yi := 0; yi+1 < len(yb); yi++ {
 		for xi := 0; xi+1 < len(xb); xi++ {
 			gx0, gx1 := xb[xi], xb[xi+1]

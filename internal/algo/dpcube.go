@@ -62,14 +62,13 @@ type dpcubePlan struct {
 
 // dpcubeScratch is one trial's noisy histogram plus its kd partitions: in 1D
 // as boundaries (1D partitions are contiguous intervals), in 2D as leaf
-// rectangles, whose cells are visited in row-major order. vals and marg are
-// the 2D split's per-region working buffers; each is consumed before the
-// recursion descends, so one of each serves the whole split.
+// rectangles, whose cells are visited in row-major order. marg is the 2D
+// split's per-region marginal; it is consumed before the recursion descends,
+// so one serves the whole split.
 type dpcubeScratch struct {
 	noisy  []float64
 	bounds []int
 	rects  []tree.Rect
-	vals   []float64
 	marg   []float64
 }
 
@@ -94,7 +93,6 @@ func (d *DPCube) Plan(x *vec.Vector, _ *workload.Workload, eps float64) (Plan, e
 		sc := &dpcubeScratch{noisy: make([]float64, p.n), bounds: make([]int, 0, 64)}
 		if len(p.dims) == 2 {
 			sc.rects = make([]tree.Rect, 0, 64)
-			sc.vals = make([]float64, 0, p.n)
 			sc.marg = make([]float64, max(p.dims[0], p.dims[1]))
 		}
 		return sc
@@ -173,7 +171,7 @@ func (d *DPCube) CompositionPlan() noise.Plan {
 // ascending boundary offsets appended to bounds (the caller seeds it with
 // lo); the leaf order matches the left-to-right recursion.
 func kdSplit1DBounds(noisy []float64, lo, hi, minCells int, noiseUnit float64, bounds []int) []int {
-	if hi-lo <= 1 || stopSplitting(noisy[lo:hi], minCells, noiseUnit) {
+	if uniformRect(noisy, len(noisy), tree.Rect{X0: lo, X1: hi, Y1: 1}, minCells, noiseUnit) {
 		return append(bounds, hi)
 	}
 	mid := massMedian(noisy, lo, hi)
@@ -189,19 +187,11 @@ func kdSplit1DBounds(noisy []float64, lo, hi, minCells int, noiseUnit float64, b
 // median, and appends the leaf rectangles to rects in left-to-right
 // recursion order.
 func (sc *dpcubeScratch) kdSplit2D(noisy []float64, nx int, r tree.Rect, minCells int, noiseUnit float64, rects []tree.Rect) []tree.Rect {
-	w, h := r.X1-r.X0, r.Y1-r.Y0
-	if w*h <= 1 {
-		return append(rects, r)
-	}
-	vals := sc.vals[:0]
-	for y := r.Y0; y < r.Y1; y++ {
-		vals = append(vals, noisy[y*nx+r.X0:y*nx+r.X1]...)
-	}
-	if stopSplitting(vals, minCells, noiseUnit) {
+	if uniformRect(noisy, nx, r, minCells, noiseUnit) {
 		return append(rects, r)
 	}
 	// More than one cell, so the wider dimension has at least two.
-	overX := w >= h
+	overX := r.X1-r.X0 >= r.Y1-r.Y0
 	a, b := splitAtMedian(r, regionMarginal(sc.marg, noisy, nx, r, overX), overX)
 	rects = sc.kdSplit2D(noisy, nx, a, minCells, noiseUnit, rects)
 	return sc.kdSplit2D(noisy, nx, b, minCells, noiseUnit, rects)
@@ -249,30 +239,42 @@ func splitAtMedian(r tree.Rect, marg []float64, overX bool) (a, b tree.Rect) {
 	return a, b
 }
 
-// stopSplitting reports whether a partition should become a leaf: its value
-// spread is small relative to the Laplace noise (so splitting cannot pay
-// off), with a stricter bar below the MinCells size so small partitions only
-// keep splitting when the non-uniformity clearly exceeds the noise floor. As
-// the budget grows the noise unit vanishes and any real non-uniformity keeps
+// uniformRect reports whether rectangle r of the nx-wide noisy histogram
+// should become a leaf: it has at most one cell, or its value spread is
+// small relative to the Laplace noise (so splitting cannot pay off), with a
+// stricter bar below the MinCells size so small partitions only keep
+// splitting when the non-uniformity clearly exceeds the noise floor. As the
+// budget grows the noise unit vanishes and any real non-uniformity keeps
 // splitting, which is what makes DPCube consistent (Theorem 3).
-func stopSplitting(vals []float64, minCells int, noiseUnit float64) bool {
-	if len(vals) <= 1 {
+//
+// The rows are scanned in place, and the scan stops at the first row after
+// which the spread exceeds the threshold: the spread can only grow. A 1D
+// interval [lo, hi) is the one-row rectangle [lo, hi) x [0, 1).
+func uniformRect(noisy []float64, nx int, r tree.Rect, minCells int, noiseUnit float64) bool {
+	cells := (r.X1 - r.X0) * (r.Y1 - r.Y0)
+	if cells <= 1 {
 		return true
 	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
 	threshold := 4 * noiseUnit
-	if len(vals) <= minCells {
+	if cells <= minCells {
 		threshold = 8 * noiseUnit
 	}
-	return hi-lo <= threshold
+	lo := noisy[r.Y0*nx+r.X0]
+	hi := lo
+	for y := r.Y0; y < r.Y1; y++ {
+		for _, v := range noisy[y*nx+r.X0 : y*nx+r.X1] {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		if hi-lo > threshold {
+			return false
+		}
+	}
+	return true
 }
 
 // massMedian returns the index m in (lo, hi) splitting the positive mass of

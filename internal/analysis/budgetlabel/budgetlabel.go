@@ -1,644 +1,14 @@
-// Package budgetlabel enforces the declared-spend invariant inside
-// dpbench/internal/algo: every ledger label a mechanism passes to a
-// noise.Meter spend method must be a compile-time string constant declared
-// by that mechanism's CompositionPlan() (wildcard entries like "level*"
-// included). The runtime audit (RunAudited, -audit) rejects undeclared
-// labels too, but only on the code paths a given trial happens to execute;
-// this pass catches label/plan drift on every path, at build time.
-//
-// Attribution: spends rarely happen inside methods of the mechanism type
-// itself — PR 4 moved them into per-mechanism plan and scratch types. The
-// pass therefore propagates ownership: a type constructed inside a
-// mechanism's methods (or inside a function those methods call, to a
-// fixpoint) belongs to that mechanism, and spends in its methods are
-// checked against that mechanism's plan. A spend that cannot be attributed
-// is checked against the union of every plan in the package, so shared
-// helpers stay checkable without false positives.
-//
-// Two package idioms are resolved instead of rejected:
-//
-//   - labelTable families: a label built as idxLabel(tbl, i), where tbl is a
-//     package-level `labelTable("prefix", n)`, is checked as the family
-//     "prefix*" against the plan's wildcard entries (depth-indexed labels
-//     like "kd3" are data-dependent, which is exactly what wildcards are
-//     for). Resolution follows single-assignment locals, so
-//     `label := idxLabel(...)` works too.
-//   - label forwarding: a spend whose label is a parameter of the enclosing
-//     function is checked at every same-package call site instead, against
-//     the caller's plans — shared measurement helpers keep taking `label
-//     string` while each constant still gets validated where it is chosen.
+// Package budgetlabel is retired: epsflow checks every ledger label against
+// its mechanism's CompositionPlan, and dpbench-lint no longer runs this pass.
+// It remains, reporting nothing, only because the lint roster of
+// cmd/perfbench still names it; delete the two together.
 package budgetlabel
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-	"strconv"
-	"strings"
+import "dpbench/internal/analysis"
 
-	"dpbench/internal/analysis"
-	"dpbench/internal/analysis/meterapi"
-)
-
-// Analyzer is the budgetlabel pass.
+// Analyzer is the retired pass: a no-op.
 var Analyzer = &analysis.Analyzer{
 	Name: "budgetlabel",
-	Doc:  "ledger labels must be string constants declared in the owning mechanism's CompositionPlan()",
-	Run:  run,
-}
-
-const scope = "dpbench/internal/algo"
-
-// plan is the statically-extracted label surface of one CompositionPlan.
-type plan struct {
-	labels    map[string]bool
-	wildcards []string // prefixes from entries ending in '*'
-	open      bool     // plan built dynamically: allow anything
-}
-
-func (p *plan) allows(label string) bool {
-	if p.open || p.labels[label] {
-		return true
-	}
-	for _, w := range p.wildcards {
-		if strings.HasPrefix(label, w) {
-			return true
-		}
-	}
-	return false
-}
-
-// allowsFamily reports whether every member of a labelTable family with the
-// given prefix is covered: some declared wildcard must prefix the family's
-// own prefix (members are prefix+index, so they inherit the match).
-func (p *plan) allowsFamily(prefix string) bool {
-	if p.open {
-		return true
-	}
-	for _, w := range p.wildcards {
-		if strings.HasPrefix(prefix, w) {
-			return true
-		}
-	}
-	return false
-}
-
-func run(pass *analysis.Pass) error {
-	if pass.Pkg == nil || !strings.HasPrefix(pass.Pkg.Path(), scope) {
-		return nil
-	}
-	plans := collectPlans(pass)
-	if len(plans) == 0 {
-		return nil
-	}
-	c := &checker{
-		pass:   pass,
-		plans:  plans,
-		owners: attribute(pass, plans),
-		tables: collectTables(pass),
-	}
-	c.indexCalls()
-	for _, fd := range c.funcs {
-		c.checkFunc(fd)
-	}
-	c.checkForwards()
-	return nil
-}
-
-// checker carries the per-package state shared by the direct and forwarded
-// label checks.
-type checker struct {
-	pass   *analysis.Pass
-	plans  map[string]*plan
-	owners map[*ast.FuncDecl]map[string]bool
-	tables map[types.Object]string // labelTable var -> family prefix
-
-	funcs     []*ast.FuncDecl
-	callSites map[*types.Func][]callSite
-	forwards  []fwdKey
-	forwarded map[fwdKey]bool
-}
-
-// callSite is one call expression and the function it appears in.
-type callSite struct {
-	fn   *ast.FuncDecl
-	call *ast.CallExpr
-}
-
-// fwdKey identifies one label-forwarding parameter.
-type fwdKey struct {
-	fn  *types.Func
-	idx int
-}
-
-// collectTables finds package-level `x = labelTable("prefix", n)` variables
-// and records their family prefixes.
-func collectTables(pass *analysis.Pass) map[types.Object]string {
-	tables := map[types.Object]string{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Names) != len(vs.Values) {
-					continue
-				}
-				for i, v := range vs.Values {
-					call, ok := ast.Unparen(v).(*ast.CallExpr)
-					if !ok || len(call.Args) == 0 {
-						continue
-					}
-					fun, ok := ast.Unparen(call.Fun).(*ast.Ident)
-					if !ok || fun.Name != "labelTable" {
-						continue
-					}
-					prefix, ok := meterapi.ConstString(pass.TypesInfo, call.Args[0])
-					if !ok {
-						continue
-					}
-					if obj := pass.TypesInfo.Defs[vs.Names[i]]; obj != nil {
-						tables[obj] = prefix
-					}
-				}
-			}
-		}
-	}
-	return tables
-}
-
-// indexCalls records every function declaration and, for each package
-// function object, the sites that call it.
-func (c *checker) indexCalls() {
-	c.callSites = map[*types.Func][]callSite{}
-	c.forwarded = map[fwdKey]bool{}
-	for _, f := range c.pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				c.funcs = append(c.funcs, fd)
-			}
-		}
-	}
-	for _, fd := range c.funcs {
-		fd := fd
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var callee *ast.Ident
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				callee = fun
-			case *ast.SelectorExpr:
-				callee = fun.Sel
-			default:
-				return true
-			}
-			if fn, ok := c.pass.TypesInfo.Uses[callee].(*types.Func); ok {
-				c.callSites[fn] = append(c.callSites[fn], callSite{fd, call})
-			}
-			return true
-		})
-	}
-}
-
-// labelRes is the static resolution of one label expression.
-type labelRes struct {
-	kind  int        // one of the l* constants
-	value string     // constant label (lConst) or family prefix (lFamily)
-	param *types.Var // the forwarding parameter (lParam)
-}
-
-const (
-	lDynamic = iota
-	lConst
-	lFamily
-	lParam
-)
-
-// resolveLabel statically resolves a label expression inside fd: a string
-// constant, a labelTable family, a parameter of fd, or dynamic.
-func (c *checker) resolveLabel(fd *ast.FuncDecl, expr ast.Expr, depth int) labelRes {
-	if s, ok := meterapi.ConstString(c.pass.TypesInfo, expr); ok {
-		return labelRes{kind: lConst, value: s}
-	}
-	if depth <= 0 {
-		return labelRes{}
-	}
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.CallExpr:
-		fun, ok := ast.Unparen(e.Fun).(*ast.Ident)
-		if !ok || fun.Name != "idxLabel" || len(e.Args) == 0 {
-			return labelRes{}
-		}
-		tbl, ok := ast.Unparen(e.Args[0]).(*ast.Ident)
-		if !ok {
-			return labelRes{}
-		}
-		if prefix, ok := c.tables[c.pass.TypesInfo.Uses[tbl]]; ok {
-			return labelRes{kind: lFamily, value: prefix}
-		}
-	case *ast.Ident:
-		obj, ok := c.pass.TypesInfo.Uses[e].(*types.Var)
-		if !ok {
-			return labelRes{}
-		}
-		if _, ok := paramIndex(c.pass.TypesInfo, fd, obj); ok {
-			return labelRes{kind: lParam, param: obj}
-		}
-		if rhs, ok := soleAssignment(c.pass.TypesInfo, fd, obj); ok {
-			return c.resolveLabel(fd, rhs, depth-1)
-		}
-	}
-	return labelRes{}
-}
-
-// paramIndex returns obj's position in fd's (flattened) parameter list.
-func paramIndex(info *types.Info, fd *ast.FuncDecl, obj types.Object) (int, bool) {
-	if fd.Type.Params == nil {
-		return 0, false
-	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if info.Defs[name] == obj {
-				return idx, true
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-	return 0, false
-}
-
-// soleAssignment returns the unique expression assigned to obj inside fd, or
-// false when obj is assigned zero or multiple times (then its value is not
-// statically known).
-func soleAssignment(info *types.Info, fd *ast.FuncDecl, obj types.Object) (ast.Expr, bool) {
-	var rhs ast.Expr
-	count := 0
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				ident, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if info.Defs[ident] == obj || info.Uses[ident] == obj {
-					count++
-					if len(n.Lhs) == len(n.Rhs) {
-						rhs = n.Rhs[i]
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range n.Names {
-				if info.Defs[name] == obj {
-					count++
-					if i < len(n.Values) {
-						rhs = n.Values[i]
-					}
-				}
-			}
-		case *ast.UnaryExpr:
-			// &obj: the variable may be written through the pointer.
-			if n.Op == token.AND {
-				if ident, ok := ast.Unparen(n.X).(*ast.Ident); ok && info.Uses[ident] == obj {
-					count += 2
-				}
-			}
-		}
-		return true
-	})
-	return rhs, count == 1 && rhs != nil
-}
-
-// collectPlans extracts, per mechanism type, the labels its
-// CompositionPlan() declares. A plan whose labels cannot be fully resolved
-// statically (delegation, computed entries) is marked open.
-func collectPlans(pass *analysis.Pass) map[string]*plan {
-	plans := map[string]*plan{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "CompositionPlan" || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			mech := recvTypeName(fd)
-			if mech == "" {
-				continue
-			}
-			p := &plan{labels: map[string]bool{}}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ReturnStmt:
-					for _, res := range n.Results {
-						if _, isLit := ast.Unparen(res).(*ast.CompositeLit); !isLit {
-							if ident, ok := ast.Unparen(res).(*ast.Ident); !ok || ident.Name != "nil" {
-								p.open = true
-							}
-						}
-					}
-				case *ast.CompositeLit:
-					if isPlanEntry(pass.TypesInfo, n) {
-						label, ok := entryLabel(pass.TypesInfo, n)
-						if !ok {
-							p.open = true
-						} else if strings.HasSuffix(label, "*") {
-							p.wildcards = append(p.wildcards, strings.TrimSuffix(label, "*"))
-						} else {
-							p.labels[label] = true
-						}
-					}
-				}
-				return true
-			})
-			plans[mech] = p
-		}
-	}
-	return plans
-}
-
-// isPlanEntry reports whether cl is a composite literal of noise.PlanEntry.
-func isPlanEntry(info *types.Info, cl *ast.CompositeLit) bool {
-	tv, ok := info.Types[cl]
-	if !ok {
-		return false
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == meterapi.PkgPath && obj.Name() == "PlanEntry"
-}
-
-// entryLabel resolves the Label field of a PlanEntry literal.
-func entryLabel(info *types.Info, cl *ast.CompositeLit) (string, bool) {
-	for i, elt := range cl.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Label" {
-				return meterapi.ConstString(info, kv.Value)
-			}
-			continue
-		}
-		// Positional form: Label is the first field.
-		if i == 0 {
-			return meterapi.ConstString(info, elt)
-		}
-	}
-	return "", false
-}
-
-// recvTypeName returns the name of a method's receiver base type.
-func recvTypeName(fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) != 1 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if ident, ok := t.(*ast.Ident); ok {
-		return ident.Name
-	}
-	return ""
-}
-
-// attribute computes, for every function declaration, the set of mechanisms
-// it works for: methods of a mechanism type belong to it, package-local
-// types constructed inside owned code belong to the same mechanisms, owned
-// code's same-package callees become owned too, to a fixpoint.
-func attribute(pass *analysis.Pass, plans map[string]*plan) map[*ast.FuncDecl]map[string]bool {
-	// Index declarations.
-	var funcs []*ast.FuncDecl
-	byName := map[string]*ast.FuncDecl{} // package-level functions
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				funcs = append(funcs, fd)
-				if fd.Recv == nil {
-					byName[fd.Name.Name] = fd
-				}
-			}
-		}
-	}
-	typeOwners := map[string]map[string]bool{}
-	for mech := range plans {
-		typeOwners[mech] = map[string]bool{mech: true}
-	}
-	funcOwners := map[*ast.FuncDecl]map[string]bool{}
-	ownersOf := func(fd *ast.FuncDecl) map[string]bool {
-		set := map[string]bool{}
-		if fd.Recv != nil {
-			for m := range typeOwners[recvTypeName(fd)] {
-				set[m] = true
-			}
-		}
-		for m := range funcOwners[fd] {
-			set[m] = true
-		}
-		return set
-	}
-	for changed := true; changed; {
-		changed = false
-		add := func(dst map[string]bool, src map[string]bool) {
-			for m := range src {
-				if !dst[m] {
-					dst[m] = true
-					changed = true
-				}
-			}
-		}
-		for _, fd := range funcs {
-			owners := ownersOf(fd)
-			if len(owners) == 0 {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					if name, ok := localTypeName(pass, n.Type); ok {
-						if typeOwners[name] == nil {
-							typeOwners[name] = map[string]bool{}
-						}
-						add(typeOwners[name], owners)
-					}
-				case *ast.CallExpr:
-					if ident, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-						if callee, ok := byName[ident.Name]; ok {
-							if funcOwners[callee] == nil {
-								funcOwners[callee] = map[string]bool{}
-							}
-							add(funcOwners[callee], owners)
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	out := map[*ast.FuncDecl]map[string]bool{}
-	for _, fd := range funcs {
-		out[fd] = ownersOf(fd)
-	}
-	return out
-}
-
-// localTypeName resolves a composite literal's type expression to a
-// package-local named type.
-func localTypeName(pass *analysis.Pass, t ast.Expr) (string, bool) {
-	if t == nil {
-		return "", false
-	}
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	ident, ok := ast.Unparen(t).(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	obj := pass.TypesInfo.Uses[ident]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg() != pass.Pkg {
-		return "", false
-	}
-	_, isType := obj.(*types.TypeName)
-	return ident.Name, isType
-}
-
-// checkFunc validates every spend call in one function body. Constant and
-// family labels are checked in place; a label that is a parameter of fd is
-// queued for call-site checking instead.
-func (c *checker) checkFunc(fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, ok := meterapi.MeterMethod(c.pass.TypesInfo, call)
-		if !ok {
-			return true
-		}
-		idx, ok := meterapi.SpendLabelArg[name]
-		if !ok || idx >= len(call.Args) {
-			return true
-		}
-		labelArg := call.Args[idx]
-		switch res := c.resolveLabel(fd, labelArg, 4); res.kind {
-		case lConst:
-			c.checkLabel(labelArg.Pos(), res.value, false, c.owners[fd])
-		case lFamily:
-			c.checkLabel(labelArg.Pos(), res.value, true, c.owners[fd])
-		case lParam:
-			// Forward only through unexported helpers: an exported
-			// function can be called from outside the package, where no
-			// call-site check runs.
-			if fd.Name.IsExported() {
-				c.pass.Reportf(labelArg.Pos(), "ledger label passed to Meter.%s must be a string constant so the spend can be checked against the CompositionPlan at build time (%s is exported, so its call sites cannot all be checked)", name, fd.Name.Name)
-			} else {
-				c.queueForward(fd, res.param)
-			}
-		default:
-			c.pass.Reportf(labelArg.Pos(), "ledger label passed to Meter.%s must be a string constant so the spend can be checked against the CompositionPlan at build time", name)
-		}
-		return true
-	})
-}
-
-// queueForward marks one parameter of fd as label-forwarding, scheduling its
-// call sites for checking.
-func (c *checker) queueForward(fd *ast.FuncDecl, param *types.Var) {
-	fn, ok := c.pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	idx, ok := paramIndex(c.pass.TypesInfo, fd, param)
-	if !ok {
-		return
-	}
-	key := fwdKey{fn, idx}
-	if !c.forwarded[key] {
-		c.forwarded[key] = true
-		c.forwards = append(c.forwards, key)
-	}
-}
-
-// checkForwards drains the forwarding worklist: for every label-forwarding
-// parameter, each call site's argument is resolved in the caller's context
-// and checked against the caller's plans. A caller that forwards its own
-// parameter joins the worklist, so chains of helpers resolve transitively.
-func (c *checker) checkForwards() {
-	for i := 0; i < len(c.forwards); i++ {
-		key := c.forwards[i]
-		for _, site := range c.callSites[key.fn] {
-			if key.idx >= len(site.call.Args) {
-				continue
-			}
-			arg := site.call.Args[key.idx]
-			switch res := c.resolveLabel(site.fn, arg, 4); res.kind {
-			case lConst:
-				c.checkLabel(arg.Pos(), res.value, false, c.owners[site.fn])
-			case lFamily:
-				c.checkLabel(arg.Pos(), res.value, true, c.owners[site.fn])
-			case lParam:
-				if site.fn.Name.IsExported() {
-					c.pass.Reportf(arg.Pos(), "ledger label forwarded to a Meter spend inside %s must be a string constant so the spend can be checked against the CompositionPlan at build time", key.fn.Name())
-				} else {
-					c.queueForward(site.fn, res.param)
-				}
-			default:
-				c.pass.Reportf(arg.Pos(), "ledger label forwarded to a Meter spend inside %s must be a string constant so the spend can be checked against the CompositionPlan at build time", key.fn.Name())
-			}
-		}
-	}
-}
-
-// checkLabel validates one resolved label (or labelTable family) against the
-// owning mechanisms' plans, falling back to the package union when unowned.
-func (c *checker) checkLabel(pos token.Pos, label string, family bool, owners map[string]bool) {
-	candidates := owners
-	if len(candidates) == 0 {
-		candidates = map[string]bool{}
-		for mech := range c.plans {
-			candidates[mech] = true
-		}
-	}
-	for mech := range candidates {
-		p, ok := c.plans[mech]
-		if !ok {
-			continue
-		}
-		if family && p.allowsFamily(label) {
-			return
-		}
-		if !family && p.allows(label) {
-			return
-		}
-	}
-	names := make([]string, 0, len(candidates))
-	for mech := range candidates {
-		if _, ok := c.plans[mech]; ok {
-			names = append(names, mech)
-		}
-	}
-	sort.Strings(names)
-	what := "label " + strconv.Quote(label)
-	if family {
-		what = "label family " + strconv.Quote(label+"*") + " (from labelTable)"
-	}
-	switch {
-	case len(owners) == 0 || len(names) == 0:
-		c.pass.Reportf(pos, "%s is not declared in any CompositionPlan in this package: every ledger spend must be covered by its mechanism's declared composition plan", what)
-	case len(names) == 1:
-		c.pass.Reportf(pos, "%s is not declared in %s's CompositionPlan: every ledger spend must be covered by its mechanism's declared composition plan", what, names[0])
-	default:
-		c.pass.Reportf(pos, "%s is not declared in the CompositionPlan of any owning mechanism (%s): every ledger spend must be covered by its mechanism's declared composition plan", what, strings.Join(names, ", "))
-	}
+	Doc:  "retired: epsflow checks ledger labels against the CompositionPlan",
+	Run:  func(*analysis.Pass) error { return nil },
 }

@@ -7,10 +7,6 @@ import (
 	"dpbench/internal/analysis/meterapi"
 )
 
-func meterMethodName(info *types.Info, call *ast.CallExpr) (string, bool) {
-	return meterapi.MeterMethod(info, call)
-}
-
 func (vr *verifier) calleeObj(call *ast.CallExpr) types.Object {
 	switch f := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -33,7 +29,7 @@ func (vr *verifier) touchesNode(n ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if _, ok := meterMethodName(vr.pass.TypesInfo, call); ok {
+		if _, ok := meterapi.MeterMethod(vr.pass.TypesInfo, call); ok {
 			found = true
 			return false
 		}
@@ -81,7 +77,7 @@ func (vr *verifier) evalCall(call *ast.CallExpr, st *state) []ev {
 		}
 	}
 	// Meter methods.
-	if name, ok := meterMethodName(vr.pass.TypesInfo, call); ok {
+	if name, ok := meterapi.MeterMethod(vr.pass.TypesInfo, call); ok {
 		return vr.meterOp(name, call, st)
 	}
 	callee := vr.calleeObj(call)
@@ -223,7 +219,7 @@ func (vr *verifier) idxLabelCall(call *ast.CallExpr, st *state) []ev {
 	var out []ev
 	for _, le := range vr.evalList(call.Args, st) {
 		if len(le.vals) == 2 && le.vals[0].kind == vLabels && le.vals[1].kind == vNum {
-			out = append(out, ev{v: value{kind: vStr, family: le.vals[0].family, famIdx: le.vals[1].r, famIdxOK: true}, st: le.st})
+			out = append(out, ev{v: value{kind: vStr, family: le.vals[0].family, famIdx: le.vals[1].r, famIdxOK: true, at: call.Pos()}, st: le.st})
 		} else {
 			out = append(out, ev{v: value{kind: vStr, bAtom: -1}, st: le.st})
 		}
@@ -504,7 +500,9 @@ func (vr *verifier) treeMeasureCall(call *ast.CallExpr, st *state) []ev {
 		if !budgetSet || budget.kind != vSlice || !budget.sumKnown {
 			vr.abort(call, "cannot bound the level budget of a tree measurement")
 		}
-		le.st.meterAt(meterKey).addSeq(budget.sum)
+		ms := le.st.meterAt(meterKey)
+		ms.addSeq(budget.sum)
+		vr.chargeLabel(call, "Flat.MeasureInto", call.Pos(), value{kind: vStr, family: treeLevelFamily}, ms.isRoot)
 		out = append(out, ev{v: opaqueVal(), st: le.st})
 	}
 	return out
@@ -699,6 +697,16 @@ var spendOps = map[string]spendSig{
 	"ChargePar":            {1, true, 'v'},
 }
 
+// labelArg returns the index of Meter method name's ledger-label argument:
+// every spend and sub-meter opener takes the label first, ResetSub after the
+// sub-meter it re-initializes.
+func labelArg(name string) (int, bool) {
+	if _, spend := spendOps[name]; spend || meterapi.SubMethods[name] {
+		return 0, true
+	}
+	return 1, name == "ResetSub"
+}
+
 func (vr *verifier) meterOp(name string, call *ast.CallExpr, st *state) []ev {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -734,6 +742,7 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		} else {
 			ms.addSeq(amount)
 		}
+		vr.chargeLabel(call, "Meter."+name, call.Args[0].Pos(), vals[0], ms.isRoot)
 		return ev{v: vr.spendResult(sig.ret, call, st), st: st}
 	}
 	switch name {
@@ -742,19 +751,16 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		if label.kind != vStr || !label.sConst {
 			vr.abort(call, "non-constant label passed to %s", name)
 		}
-		budget := ratZero()
-		if vals[1].kind == vNum {
-			budget = vals[1].r
-		} else {
+		if vals[1].kind != vNum {
 			vr.abort(call, "cannot track the budget passed to %s", name)
 		}
+		budget := vals[1].r
 		if name == "Sub" {
 			budget = ratMul(budget, ms.budget)
 		}
+		vr.chargeLabel(call, "Meter."+name, call.Args[0].Pos(), label, ms.isRoot)
 		sub := newMeterState(budget, false)
-		sub.label = label.s
-		sub.parent = key
-		sub.parallel = name == "SubParEps"
+		sub.label, sub.parent, sub.parallel = label.s, key, name == "SubParEps"
 		subKey := vr.freshStem("sub:" + label.s)
 		st.setMeter(subKey, sub)
 		return ev{v: value{kind: vMeter, meter: subKey, bAtom: -1}, st: st}
@@ -769,6 +775,7 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 		if vals[1].kind != vStr || !vals[1].sConst {
 			vr.abort(call, "non-constant label passed to ResetSub")
 		}
+		vr.chargeLabel(call, "Meter.ResetSub", call.Args[1].Pos(), vals[1], ms.isRoot)
 		if vals[2].kind != vNum {
 			vr.abort(call, "cannot track the budget passed to ResetSub")
 		}
@@ -777,9 +784,7 @@ func (vr *verifier) applyMeterOp(name string, call *ast.CallExpr, key string, va
 			vr.abort(call, "cannot resolve the parallel flag passed to ResetSub")
 		}
 		sub := newMeterState(vals[2].r, false)
-		sub.label = vals[1].s
-		sub.parent = key
-		sub.parallel = par
+		sub.label, sub.parent, sub.parallel = vals[1].s, key, par
 		st.setMeter(subKey, sub)
 		return ev{v: opaqueVal(), st: st}
 	case "Close":
@@ -922,6 +927,7 @@ func (vr *verifier) annCall(call *ast.CallExpr, callee types.Object, anno *spend
 			if meterKey == "" {
 				vr.abort(call, "//dp:spends function %s takes no meter argument", callee.Name())
 			}
+			vr.callsAnnotated(callee)
 			le.st.annEvents = append(le.st.annEvents, annEvent{
 				fn: callee, meterKey: meterKey, par: anno.par,
 				amount: amount, argsKey: amount.render(vr.at), pos: call,

@@ -19,6 +19,9 @@
 // declared, never trusted (see spends.go for the grammar and the
 // verification rules).
 //
+// Inside dpbench/internal/algo the same interpretation checks every ledger
+// label a mechanism charges against its CompositionPlan (see labels.go).
+//
 // The analyzer complements `-audit`: the audit proves the one path a run
 // took; epsflow proves all the paths a run could take, including the error
 // and early-exit paths no benchmark exercises.
@@ -29,14 +32,16 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"dpbench/internal/analysis"
+	"dpbench/internal/analysis/meterapi"
 )
 
 // Analyzer is the epsflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "epsflow",
-	Doc:  "every path through a mechanism's Plan/Execute must charge exactly the declared epsilon (symbolic budget verification)",
+	Doc:  "every path through a mechanism's Plan/Execute must charge exactly the declared epsilon, under ledger labels its CompositionPlan declares (symbolic budget verification)",
 	Run:  run,
 }
 
@@ -69,6 +74,13 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
+	if strings.HasPrefix(pass.Pkg.Path(), labelScope) {
+		vr.labels = &labelChecker{
+			plans:   vr.collectPlans(),
+			ann:     map[types.Object]*annSite{},
+			reached: map[*ast.CallExpr]bool{},
+		}
+	}
 	vr.collectSpends()
 	vr.buildFamilies()
 	vr.buildTouches()
@@ -99,6 +111,7 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
+	vr.finishLabels()
 	return nil
 }
 
@@ -126,7 +139,7 @@ func (vr *verifier) buildFamilies() {
 					if callee == nil || !vr.isLocalIntrinsic(callee, "labelTable") {
 						continue
 					}
-					prefix, ok1 := constString(vr.pass.TypesInfo, call.Args[0])
+					prefix, ok1 := meterapi.ConstString(vr.pass.TypesInfo, call.Args[0])
 					n, ok2 := constInt(vr.pass.TypesInfo, call.Args[1])
 					def := vr.pass.TypesInfo.Defs[name]
 					if ok1 && ok2 && def != nil {
@@ -136,13 +149,6 @@ func (vr *verifier) buildFamilies() {
 			}
 		}
 	}
-}
-
-func constString(info *types.Info, e ast.Expr) (string, bool) {
-	if tv, ok := info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-		return constant.StringVal(tv.Value), true
-	}
-	return "", false
 }
 
 func constInt(info *types.Info, e ast.Expr) (int, bool) {
@@ -223,6 +229,9 @@ func (vr *verifier) verifyMechanism(name string, planDecl *ast.FuncDecl) {
 	vr.depth = 0
 	vr.inlining = map[*ast.FuncDecl]bool{}
 	vr.mech = name
+	if vr.labels != nil {
+		vr.labels.fn = nil
+	}
 	vr.epsID = vr.at.fresh("eps", false)
 
 	st := &state{cons: newConstraints(), meters: map[string]*meterState{}, memo: map[string]value{}}

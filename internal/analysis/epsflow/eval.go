@@ -42,6 +42,10 @@ func (vr *verifier) evalList(exprs []ast.Expr, st *state) []listEv {
 
 func one(v value, st *state) []ev { return []ev{{v: v, st: st}} }
 
+// eval evaluates e on every path it forks into. A constant or labelTable
+// label records where it was written, so a label finding points at the
+// expression that chose the label rather than at the helper that forwarded
+// it to the spend.
 func (vr *verifier) eval(e ast.Expr, st *state) []ev {
 	if tv, ok := vr.pass.TypesInfo.Types[e]; ok {
 		if tv.IsNil() {
@@ -49,6 +53,7 @@ func (vr *verifier) eval(e ast.Expr, st *state) []ev {
 		}
 		if tv.Value != nil {
 			if v, ok := constValue(tv.Value); ok {
+				v.at = e.Pos()
 				return one(v, st)
 			}
 		}
@@ -512,7 +517,7 @@ func (vr *verifier) evalIndex(e *ast.IndexExpr, st *state) []ev {
 		if b.v.kind == vLabels {
 			for _, ix := range vr.eval(e.Index, b.st) {
 				if ix.v.kind == vNum {
-					out = append(out, ev{v: value{kind: vStr, family: b.v.family, famIdx: ix.v.r, famIdxOK: true}, st: ix.st})
+					out = append(out, ev{v: value{kind: vStr, family: b.v.family, famIdx: ix.v.r, famIdxOK: true, at: e.Pos()}, st: ix.st})
 				} else {
 					out = append(out, ev{v: value{kind: vStr, bAtom: -1}, st: ix.st})
 				}

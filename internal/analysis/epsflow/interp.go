@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"dpbench/internal/analysis"
+	"dpbench/internal/analysis/meterapi"
 )
 
 // verifier holds the per-package machinery shared by every mechanism
@@ -40,6 +41,8 @@ type verifier struct {
 
 	reported map[string]bool
 	mech     string // current mechanism name, for messages
+
+	labels *labelChecker // nil outside dpbench/internal/algo (labels.go)
 }
 
 // abortError unwinds one mechanism verification that cannot proceed.
@@ -69,6 +72,10 @@ func (vr *verifier) report(n ast.Node, format string, args ...any) {
 	if n != nil {
 		pos = n.Pos()
 	}
+	vr.reportAt(pos, format, args...)
+}
+
+func (vr *verifier) reportAt(pos token.Pos, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	key := fmt.Sprintf("%d|%s", pos, msg)
 	if vr.reported[key] {
@@ -409,7 +416,7 @@ func (vr *verifier) returnStmt(s *ast.ReturnStmt, st *state) []outcome {
 
 func (vr *verifier) deferStmt(s *ast.DeferStmt, st *state) []outcome {
 	if sel, ok := s.Call.Fun.(*ast.SelectorExpr); ok {
-		if name, ok := meterMethodName(vr.pass.TypesInfo, s.Call); ok {
+		if name, ok := meterapi.MeterMethod(vr.pass.TypesInfo, s.Call); ok {
 			switch name {
 			case "SetSampler", "Release":
 				// Void and charge-free: budget-irrelevant whenever they run.
@@ -920,7 +927,7 @@ func (vr *verifier) bindLoopVars(info loopInfo, st *state) int {
 		if info.rangeX != nil {
 			evs := vr.eval(info.rangeX, st)
 			if len(evs) == 1 && evs[0].v.kind == vLabels && iota >= 0 {
-				st.assign(info.valVar, value{kind: vStr, family: evs[0].v.family, famIdx: ratAtom(iota), famIdxOK: true})
+				st.assign(info.valVar, value{kind: vStr, family: evs[0].v.family, famIdx: ratAtom(iota), famIdxOK: true, at: info.rangeX.Pos()})
 				bound = true
 			}
 		}

@@ -29,6 +29,8 @@ import (
 	"math/big"
 	"strconv"
 	"strings"
+
+	"dpbench/internal/analysis/meterapi"
 )
 
 // spendAnno is one parsed //dp:spends annotation.
@@ -243,7 +245,7 @@ func (vr *verifier) chargeGuard(s *ast.IfStmt) bool {
 	if !ok {
 		return false
 	}
-	name, ok := meterMethodName(vr.pass.TypesInfo, call)
+	name, ok := meterapi.MeterMethod(vr.pass.TypesInfo, call)
 	if !ok {
 		return false
 	}
@@ -644,6 +646,9 @@ func (vr *verifier) verifyAnnotatedFn(obj types.Object, decl *ast.FuncDecl, anno
 	vr.depth = 0
 	vr.inlining = map[*ast.FuncDecl]bool{}
 	vr.mech = obj.Name()
+	if vr.labels != nil {
+		vr.labels.fn = obj
+	}
 
 	st := &state{cons: newConstraints(), meters: map[string]*meterState{}, memo: map[string]value{}}
 	fr := &frame{fn: decl, vars: map[types.Object]value{}}

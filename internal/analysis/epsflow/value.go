@@ -3,6 +3,7 @@ package epsflow
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"math"
 	"math/big"
@@ -67,6 +68,7 @@ type value struct {
 	family   string // label-table family ("split", "kd", ...)
 	famIdx   rat    // symbolic index into the family
 	famIdxOK bool
+	at       token.Pos // where a constant or family label was chosen
 
 	// vErr
 	errNonNil tri
@@ -519,8 +521,6 @@ func (ms *meterState) addPar(key chargeKey, e parEntry) (conflict bool) {
 	ms.parIdx = append(ms.parIdx, key)
 	return false
 }
-
-func (ms *meterState) addFam(amount rat) { ms.famSum = ratAdd(ms.famSum, amount) }
 
 // deferredOp is a deferred meter operation (only sub.Close is supported).
 type deferredOp struct {

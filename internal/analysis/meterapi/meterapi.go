@@ -1,7 +1,6 @@
 // Package meterapi centralizes the analyzers' knowledge of the
-// dpbench/internal/noise surface: which methods belong to noise.Meter,
-// which of them record ledger spends and where their label argument sits,
-// and which open sub-meter scopes.
+// dpbench/internal/noise surface: which methods belong to noise.Meter and
+// which of them open sub-meter scopes.
 package meterapi
 
 import (
@@ -12,29 +11,6 @@ import (
 
 // PkgPath is the import path of the metered-noise package.
 const PkgPath = "dpbench/internal/noise"
-
-// SpendLabelArg maps every Meter method that takes a ledger label to the
-// index of the label argument. Keep in sync with internal/noise/meter.go;
-// budgetlabel's analysistest fixtures exercise each class.
-var SpendLabelArg = map[string]int{
-	"Laplace":              0,
-	"LaplacePar":           0,
-	"LaplaceVec":           0,
-	"LaplaceVecInto":       0,
-	"LaplaceMechanism":     0,
-	"LaplaceMechanismInto": 0,
-	"Geometric":            0,
-	"ExpMech":              0,
-	"ExpMechPar":           0,
-	"ExpMechBuf":           0,
-	"ExpMechBufPar":        0,
-	"Charge":               0,
-	"ChargePar":            0,
-	"Sub":                  0,
-	"SubEps":               0,
-	"SubParEps":            0,
-	"ResetSub":             1,
-}
 
 // SubMethods are the Meter methods that open a child scope whose result must
 // be closed back into the parent.

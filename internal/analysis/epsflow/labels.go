@@ -4,9 +4,10 @@ package epsflow
 // into M's audited root meter (a spend's label, a sub-meter's label, the
 // "level<d>" labels of Flat.MeasureInto) must be a string constant or a
 // labelTable entry that M's CompositionPlan declares, wildcards included.
-// Labels charged inside a sub-meter stay in its own ledger, which the
-// runtime audit does not match against the plan either. A mechanism whose
-// plan is built dynamically, or that has none, is left to the audit.
+// Labels charged inside a sub-meter are not checked: they stay in its own
+// ledger, which the runtime audit does not match against the plan either.
+// A mechanism whose plan is built dynamically, or has none, is left to the
+// audit.
 //
 // Labels inside a //dp:spends-annotated function are checked against every
 // mechanism that reaches the function. A spend no verified Plan/Execute
